@@ -538,8 +538,9 @@ class BoundSet:
         return MassParams(*self.masses)
 
     def rho_bar(self, I_bar: float) -> float:
-        """Least outer distance compatible with I >= I_bar and r <= c_r."""
-        mp = self.mp
+        """Least outer distance compatible with I >= I_bar and r <= c_r, in
+        the labeling of the constants (far body last)."""
+        mp = self.mp.relabeled(self.far_body)
         val = (I_bar - mp.alpha1 * self.c_r**2) / mp.alpha2
         if val <= 0.0:
             raise ValueError(f"level {I_bar} sits below alpha1 c_r^2")
@@ -549,8 +550,8 @@ class BoundSet:
         return 1.0 / self.rho_bar(I_bar)
 
     def i_plus(self, I_bar: float) -> float:
-        """Strip ceiling 4 (I_bar - alpha1 c_r^2)."""
-        mp = self.mp
+        """Strip ceiling 4 (I_bar - alpha1 c_r^2), far body last."""
+        mp = self.mp.relabeled(self.far_body)
         return 4.0 * (I_bar - mp.alpha1 * self.c_r**2)
 
     def strip(self, s: float):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -131,6 +132,25 @@ class SamplerRanges:
         }
 
 
+_CONFIG_KEYS = {
+    "masses", "H", "J", "far_body", "sampler", "level", "lambda", "B1", "tol",
+    "budget_factor", "max_steps", "regularize", "inbound_only", "i_range", "lazy_directions",
+}
+_SAMPLER_KEYS = {"count", "seed", "inner", "outer", "planar"}
+
+
+def _check_keys(where: str, d, allowed) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(d) - allowed)
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment: masses, levels, sampler spec, budgets, overrides."""
@@ -159,12 +179,31 @@ class ScenarioConfig:
     lazy_directions: bool = True
 
     def __post_init__(self):
-        if not self.H < 0.0:
-            raise ValueError("H must be negative")
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         J = self.J
         if isinstance(J, (int, float)):
-            J = (0.0, 0.0, float(J))
+            J = (0.0, 0.0, J)
+        r = self.ranges
+        for name, vals in (
+            ("masses", self.masses), ("H", [self.H]), ("J", J), ("level", [self.level]),
+            ("lambda", [self.lam]), ("B1", [self.B1]), ("tol", [self.tol]),
+            ("budget_factor", [self.budget_factor]), ("i_range", self.i_range or []),
+            ("sampler.inner.a1_frac", r.a1_frac), ("sampler.inner.e1", r.e1),
+            ("sampler.outer", [r.i_lo_factor, r.i_hi_factor]),
+        ):
+            if not all(v is None or _is_finite(v) for v in vals):
+                raise ValueError(f"{name} must hold finite numbers, got {vals!r}")
+        if len(self.masses) != 3 or len(J) != 3:
+            raise ValueError("masses and J must have three components")
+        if not self.H < 0.0:
+            raise ValueError("H must be negative")
+        if self.far_body not in (1, 2, 3):
+            raise ValueError(f"far_body must be 1, 2 or 3, got {self.far_body!r}")
+        for name, val in (("sampler.count", self.count), ("max_steps", self.max_steps)):
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
+        if not (self.tol > 0.0 and self.budget_factor > 0.0):
+            raise ValueError("tol and budget_factor must be positive")
+        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         object.__setattr__(self, "J", tuple(float(v) for v in J))
 
     @property
@@ -209,22 +248,25 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        """Inverse of to_dict.  Unknown keys, non-finite numbers and
+        out-of-range values raise ValueError."""
+        _check_keys("config", d, _CONFIG_KEYS)
         sampler = d.get("sampler", {})
+        _check_keys("sampler", sampler, _SAMPLER_KEYS)
         inner = sampler.get("inner", {})
+        _check_keys("sampler.inner", inner, {"a1_frac", "e1"})
         outer = sampler.get("outer", {})
+        _check_keys("sampler.outer", outer, {"i_lo_factor", "i_hi_factor"})
         ranges = SamplerRanges(
             a1_frac=tuple(inner.get("a1_frac", (0.20, 0.35))),
             e1=tuple(inner.get("e1", (0.0, 0.4))),
             i_lo_factor=outer.get("i_lo_factor", 1.0),
             i_hi_factor=outer.get("i_hi_factor", 10.0),
         )
-        J = d["J"]
-        if isinstance(J, (int, float)):
-            J = (0.0, 0.0, float(J))
         return cls(
             masses=tuple(d["masses"]),
             H=d["H"],
-            J=tuple(J),
+            J=d["J"],
             far_body=d.get("far_body", 3),
             count=sampler.get("count", 20),
             seed=sampler.get("seed", 0),

@@ -5,9 +5,10 @@ The stepper is scipy's DOP853 (8th order with embedded error control and a
 budget, event localization and the coordinate switches of the regularized
 path.  Backward time is first class: pass t1 < t0.
 
-Events are located by scanning each accepted step's dense interpolant for a
-sign change and polishing the root with Brent's method, so event times are
-good to ~1e-12 relative.
+Event functions are evaluated on the state at the end of each accepted
+step.  Only a step over which one of them changes sign pays for scipy's
+dense interpolant (three extra RHS stages); the root is polished on it with
+Brent's method, so event times are good to ~1e-12 relative.
 
 Collisions of the inner binary can be crossed by switching the short Jacobi
 vector to Kustaanheimo-Stiefel variables with the time rescaling dt = r ds
@@ -20,6 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +39,6 @@ __all__ = [
     "integrate_regularized",
     "detect_I_crossing",
     "detect_syzygy",
-    "i_crossing_event",
     "outer_pericenter_event",
 ]
 
@@ -87,17 +88,6 @@ class Event:
     kind: str
     payload: dict
     state: JacobiState
-
-
-def i_crossing_event(mp: MassParams, level: float) -> EventSpec:
-    """I(t) = level, firing when entering I <= level."""
-    return EventSpec(
-        name="i_crossing",
-        func=lambda t, st: moment_of_inertia(st, mp) - level,
-        direction=-1,
-        terminal=False,
-        payload={"level": level},
-    )
 
 
 def outer_pericenter_event() -> EventSpec:
@@ -162,9 +152,8 @@ class _KSSegment:
 class DenseSolution:
     """Piecewise dense output over monotone (increasing or decreasing) time."""
 
-    def __init__(self, segments: Sequence, forward: bool):
+    def __init__(self, segments: Sequence):
         self.segments = list(segments)
-        self.forward = forward
         # lookup table sorted ascending in time regardless of travel direction
         self._ordered = sorted(self.segments, key=lambda s: s.t_lo)
         self._starts = [seg.t_lo for seg in self._ordered]
@@ -189,8 +178,9 @@ class Trajectory:
 
     t is the strictly monotone grid of accepted steps; y holds the flat
     states at those times.  h_resid and j_resid are relative drifts of the
-    energy and angular momentum magnitude against their initial values.
-    complete is False when a step or time budget cut the run short.
+    energy and angular momentum magnitude against their initial values,
+    computed from the node arrays on first read.  complete is False when a
+    step or time budget cut the run short.
     """
 
     mp: MassParams
@@ -198,13 +188,31 @@ class Trajectory:
     y: np.ndarray
     dense: Optional[DenseSolution]
     events: List[Event]
-    h_resid: np.ndarray
-    j_resid: np.ndarray
     complete: bool
     status: str
     n_steps: int
     h0: float
     j0: float
+
+    @cached_property
+    def h_resid(self) -> np.ndarray:
+        mp = self.mp
+        xi1, xi2, dxi1, dxi2 = self.y[:, 0:3], self.y[:, 3:6], self.y[:, 6:9], self.y[:, 9:12]
+        rho = _norms(xi2)
+        H1 = 0.5 * mp.alpha1 * _sq_norms(dxi1) - mp.beta1 / _norms(xi1)
+        H2 = 0.5 * mp.alpha2 * _sq_norms(dxi2) - mp.beta2 / rho
+        g = (mp.beta2 / rho - mp.m1 * mp.m3 / _norms(xi2 + mp.mu2 * xi1)
+             - mp.m2 * mp.m3 / _norms(xi2 - mp.mu1 * xi1))
+        return (H1 + H2 + g - self.h0) / max(abs(self.h0), 1e-300)
+
+    @cached_property
+    def j_resid(self) -> np.ndarray:
+        mp = self.mp
+        y = self.y
+        J = mp.alpha1 * np.cross(y[:, 0:3], y[:, 6:9]) + mp.alpha2 * np.cross(y[:, 3:6], y[:, 9:12])
+        j = _norms(J)
+        # absolute drift when the momentum level is zero, relative otherwise
+        return (j - self.j0) / self.j0 if self.j0 > 0.0 else (j - self.j0)
 
     @property
     def t0(self) -> float:
@@ -266,68 +274,74 @@ class Trajectory:
                 fh.write(f"{format(ev.t, '.17g')},{ev.kind},{payload}\n")
 
 
-def _residuals(mp: MassParams, y: np.ndarray, h0: float, j0: float):
-    n = y.shape[0]
-    h = np.empty(n)
-    j = np.empty(n)
-    for i in range(n):
-        st = JacobiState.from_vector(y[i])
-        h[i] = energy_split(st, mp)[0]
-        J, _, _ = angular_momentum(st, mp)
-        j[i] = float(np.linalg.norm(J))
-    h_res = (h - h0) / max(abs(h0), 1e-300)
-    # absolute drift when the momentum level is zero, relative otherwise
-    j_res = (j - j0) / j0 if j0 > 0.0 else (j - j0)
-    return h_res, j_res
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, a)
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sq_norms(a))
 
 
 # ---------------------------------------------------------------------------
-# Event localization on one dense segment
+# Events at step ends, localized on the step's dense segment
 
-def _scan_events(
-    specs, ev_vals, t_prev, t_now, seg, to_state, events_out
-) -> Optional[float]:
-    """Check each event for a sign change across [t_prev, t_now]; return the
-    earliest terminal root (in travel order) or None."""
-    terminal_root = None
-    direction = 1.0 if t_now >= t_prev else -1.0
+def _state_on(seg, t: float) -> JacobiState:
+    return JacobiState.from_vector(seg.state_vector(t))
+
+
+def _sign_changes(specs, ev_vals, t_now, state_now) -> List[int]:
+    """Indices of the events whose value at the step end has changed sign,
+    in their direction, since the previous step end; updates ev_vals."""
+    crossed = []
     for k, spec in enumerate(specs):
         g_prev = ev_vals[k]
-        state_now = to_state(seg, t_now)
         g_now = spec.func(t_now, state_now)
         ev_vals[k] = g_now
-        if g_prev is None or g_prev == g_now:
-            continue
-        crossed = (g_prev < 0.0 <= g_now) or (g_prev > 0.0 >= g_now)
-        if not crossed:
+        if g_prev == g_now or not ((g_prev < 0.0 <= g_now) or (g_prev > 0.0 >= g_now)):
             continue
         rising = g_prev < g_now
-        if spec.direction > 0 and not rising:
+        if (spec.direction > 0 and not rising) or (spec.direction < 0 and rising):
             continue
-        if spec.direction < 0 and rising:
-            continue
+        crossed.append(k)
+    return crossed
+
+
+def _locate_events(specs, crossed, t_prev, t_now, seg, state_now, events_out) -> Optional[Event]:
+    """Polish each crossed event's root on the step's dense segment and
+    append it to events_out; return the earliest terminal event (in travel
+    order) or None."""
+    stop = None
+    sgn = 1.0 if t_now >= t_prev else -1.0
+    lo, hi = (t_prev, t_now) if t_prev <= t_now else (t_now, t_prev)
+    for k in crossed:
+        spec = specs[k]
 
         def gfun(t):
-            return spec.func(t, to_state(seg, t))
+            return spec.func(t, _state_on(seg, t))
 
-        lo, hi = (t_prev, t_now) if t_prev <= t_now else (t_now, t_prev)
-        if gfun(lo) == 0.0:
+        g_lo, g_hi = gfun(lo), gfun(hi)
+        if g_lo == 0.0:
             root = lo
-        elif gfun(hi) == 0.0:
+        elif g_hi == 0.0:
             root = hi
+        elif g_lo * g_hi > 0.0:
+            # the step-end values bracket a root that the interpolant's
+            # endpoint values miss by rounding: the step end satisfies it
+            root = None
         else:
             root = brentq(gfun, lo, hi, xtol=1e-14, rtol=8.881784197001252e-16, maxiter=200)
-        events_out.append(
-            Event(t=root, kind=spec.name, payload=dict(spec.payload), state=to_state(seg, root))
-        )
-        if spec.terminal:
-            if terminal_root is None or direction * root < direction * terminal_root:
-                terminal_root = root
-    return terminal_root
+        if root is None:
+            ev = Event(t=t_now, kind=spec.name, payload=dict(spec.payload), state=state_now)
+        else:
+            ev = Event(t=root, kind=spec.name, payload=dict(spec.payload), state=_state_on(seg, root))
+        events_out.append(ev)
+        if spec.terminal and (stop is None or sgn * ev.t < sgn * stop.t):
+            stop = ev
+    return stop
 
 
 # ---------------------------------------------------------------------------
-# Plain integration
+# Integration: one step loop for physical coordinates
 
 def integrate(
     initial: JacobiState,
@@ -343,73 +357,145 @@ def integrate(
     """Adaptive integration of the full field over span = (t0, t1).
 
     t1 < t0 integrates backward.  ``kepler_only`` switches off the coupling
-    (test hook).  ``dense=False`` keeps memory flat for long runs: events are
-    still localized on the fly, but state_at() becomes unavailable.
+    (test hook).  ``dense=False`` keeps no interpolants: a step builds one
+    only to localize an event that changes sign over it, and state_at()
+    becomes unavailable.  The node arrays t and y are kept either way.
     """
+    return _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, dense,
+                      regularize=False, r_switch=None)
+
+
+def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, dense,
+               regularize, r_switch) -> Trajectory:
+    """Run shared by integrate() and integrate_regularized(): physical
+    phases, and with ``regularize`` KS phases below r_switch (by default
+    KS_SWITCH_FRACTION of the binary's natural length)."""
     t0, t1 = float(span[0]), float(span[1])
     if t0 == t1:
         raise ValueError("empty time span")
-    rhs = make_rhs(mp, kepler_only=kepler_only)
-    y0 = initial.as_vector()
     h0, _, _, _ = energy_split(initial, mp)
     J0, _, _ = angular_momentum(initial, mp)
     j0 = float(np.linalg.norm(J0))
+    if regularize and r_switch is None:
+        r_switch = KS_SWITCH_FRACTION * mp.beta1 / abs(h0)
 
-    solver = DOP853(rhs, t0, y0, t1, rtol=rtol, atol=atol)
-    ts = [t0]
-    ys = [y0.copy()]
-    segments: List[_CartSegment] = []
-    out_events: List[Event] = []
+    rhs = make_rhs(mp, kepler_only=kepler_only)
     specs = list(events)
-    ev_vals = [spec.func(t0, initial) for spec in specs]
-    to_state = lambda seg, t: JacobiState.from_vector(seg.state_vector(t))
-
-    status = "completed"
-    complete = True
+    ts = [t0]
+    ys = [initial.as_vector()]
+    segments: list = []
+    out_events: List[Event] = []
     n_steps = 0
-    while solver.status == "running":
+    state = initial
+    t_now = t0
+    mode = "ks" if r_switch is not None and state.r < r_switch else "cart"
+
+    while True:
         if n_steps >= max_steps:
             status = "step_budget_exhausted"
-            complete = False
             break
-        msg = solver.step()
-        if solver.status == "failed":
-            last = JacobiState.from_vector(ys[-1])
-            raise IntegrationSingularityError(
-                f"integrator failed: {msg}", t=ts[-1], state=last
+        if mode == "cart":
+            res = _run_cart_phase(
+                rhs, state, t_now, t1, rtol, atol, specs, max_steps - n_steps, dense, r_switch,
             )
-        n_steps += 1
-        seg = _CartSegment(solver.dense_output())
-        t_prev, t_now = ts[-1], solver.t
-        term_t = _scan_events(specs, ev_vals, t_prev, t_now, seg, to_state, out_events)
-        if term_t is not None:
-            ts.append(term_t)
-            ys.append(seg.state_vector(term_t))
-            segments.append(seg)
-            status = "event"
+        else:
+            res = _run_ks_phase(
+                mp, state, t_now, t1, rtol, atol, specs, max_steps - n_steps, dense,
+                KS_EXIT_FACTOR * r_switch, r_switch, kepler_only, 1.0 if t1 > t0 else -1.0,
+            )
+        ts.extend(res.ts)
+        ys.extend(res.ys)
+        segments.extend(res.segments)
+        out_events.extend(res.events)
+        n_steps += res.n_steps
+        if res.status != "switch":
+            status = res.status
             break
-        ts.append(t_now)
-        ys.append(solver.y.copy())
-        segments.append(seg)
+        state = res.exit_state
+        t_now = res.exit_t
+        mode = res.next_mode
 
-    t_arr = np.array(ts)
-    y_arr = np.array(ys)
-    h_res, j_res = _residuals(mp, y_arr, h0, j0)
-    dense_sol = DenseSolution(segments, forward=t1 > t0) if dense else None
     return Trajectory(
         mp=mp,
-        t=t_arr,
-        y=y_arr,
-        dense=dense_sol,
+        t=np.array(ts),
+        y=np.array(ys),
+        dense=DenseSolution(segments) if dense else None,
         events=out_events,
-        h_resid=h_res,
-        j_resid=j_res,
-        complete=complete,
+        complete=status in ("completed", "event"),
         status=status,
         n_steps=n_steps,
         h0=h0,
         j0=j0,
     )
+
+
+@dataclass
+class _PhaseResult:
+    ts: list
+    ys: list
+    segments: list
+    events: list
+    n_steps: int
+    status: str          # "completed" | "event" | "step_budget_exhausted" | "switch"
+    next_mode: str       # "cart" | "ks" (meaningful when status == "switch")
+    exit_state: Optional[JacobiState] = None
+    exit_t: Optional[float] = None
+
+
+_KS_ENTER = "_ks_enter"
+
+
+def _run_cart_phase(rhs, state, t_start, t1, rtol, atol, specs, budget, dense,
+                    r_switch) -> _PhaseResult:
+    """Physical-coordinate steps from (t_start, state) toward t1.
+
+    Events are tested on each step-end state; the step's interpolant is
+    built only when ``dense`` is set or some event changes sign over the
+    step, and kept only when ``dense`` is set.  With r_switch, a terminal
+    guard at r = r_switch ends the phase with status "switch".
+    """
+    solver = DOP853(rhs, t_start, state.as_vector(), t1, rtol=rtol, atol=atol)
+    if r_switch is not None:
+        guard = EventSpec(name=_KS_ENTER, func=lambda t, st: st.r - r_switch,
+                          direction=-1, terminal=True)
+        specs = specs + [guard]
+    ev_vals = [sp.func(t_start, state) for sp in specs]
+    ts, ys, segments, events = [], [], [], []
+    sgn = 1.0 if t1 > t_start else -1.0
+    t_prev = t_start
+    n_steps = 0
+    while solver.status == "running":
+        if n_steps >= budget:
+            return _PhaseResult(ts, ys, segments, events, n_steps, "step_budget_exhausted", "cart")
+        msg = solver.step()
+        if solver.status == "failed":
+            last = JacobiState.from_vector(ys[-1] if ys else state.as_vector())
+            raise IntegrationSingularityError(f"integrator failed: {msg}", t=t_prev, state=last)
+        n_steps += 1
+        t_now = solver.t
+        y_now = solver.y.copy()
+        state_now = JacobiState.from_vector(y_now) if specs else None
+        crossed = _sign_changes(specs, ev_vals, t_now, state_now)
+        seg = _CartSegment(solver.dense_output()) if dense or crossed else None
+        if dense:
+            segments.append(seg)
+        if crossed:
+            found: List[Event] = []
+            stop = _locate_events(specs, crossed, t_prev, t_now, seg, state_now, found)
+            if stop is not None:
+                events.extend(ev for ev in found
+                              if ev.kind != _KS_ENTER and sgn * ev.t <= sgn * stop.t)
+                ts.append(stop.t)
+                ys.append(stop.state.as_vector())
+                if stop.kind == _KS_ENTER:
+                    return _PhaseResult(ts, ys, segments, events, n_steps, "switch", "ks",
+                                        stop.state, stop.t)
+                return _PhaseResult(ts, ys, segments, events, n_steps, "event", "cart")
+            events.extend(found)
+        ts.append(t_now)
+        ys.append(y_now)
+        t_prev = t_now
+    return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "cart")
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +652,6 @@ def _ks_to_cart_vector(z: np.ndarray) -> np.ndarray:
 def _make_ks_rhs(mp: MassParams, kepler_only: bool, direction: float):
     """Fictitious-time field: d/ds = direction * r * d/dt plus the oscillator
     form of the inner equation.  Regular at r = 0."""
-    rhs_cart = make_rhs(mp, kepler_only=kepler_only)
     mu = mp.mu
     a1 = mp.alpha1
     M = mp.M
@@ -614,19 +699,6 @@ def _make_ks_rhs(mp: MassParams, kepler_only: bool, direction: float):
     return rhs
 
 
-@dataclass
-class _KSPhaseResult:
-    ts: list
-    ys: list
-    segments: list
-    events: list
-    n_steps: int
-    status: str          # "completed" | "event" | "step_budget_exhausted" | "switch"
-    next_mode: str       # "cart" | "ks" (meaningful when status == "switch")
-    exit_state: Optional[JacobiState]
-    exit_t: Optional[float]
-
-
 def integrate_regularized(
     initial: JacobiState,
     mp: MassParams,
@@ -641,157 +713,19 @@ def integrate_regularized(
 ) -> Trajectory:
     """Like integrate(), but passes through inner-binary collisions.
 
-    While r > r_switch this takes the exact same steps as integrate() (the
-    switch guard is a passive extra event), so non-collisional runs produce
-    bitwise identical trajectories.  Below the switch radius the inner
-    vector evolves in KS variables with dt = r ds; each passage whose radial
+    While r > r_switch this runs the step loop of integrate() with a passive
+    terminal guard at r = r_switch, so non-collisional runs produce bitwise
+    identical trajectories.  Below the switch radius the inner vector
+    evolves in KS variables with dt = r ds; each passage whose radial
     minimum is consistent with r = 0 is logged as a collision_regularized
     event carrying the duration of the regularized stint.  Outer collisions
     (rho -> 0) are not regularized and still raise.
     """
-    t0, t1 = float(span[0]), float(span[1])
-    if t0 == t1:
-        raise ValueError("empty time span")
-    forward = t1 > t0
-    direction = 1.0 if forward else -1.0
-    if r_switch is None:
-        H, _, _, _ = energy_split(initial, mp)
-        r_switch = KS_SWITCH_FRACTION * mp.beta1 / abs(H)
-    r_exit = KS_EXIT_FACTOR * r_switch
-
-    rhs = make_rhs(mp, kepler_only=kepler_only)
-    h0, _, _, _ = energy_split(initial, mp)
-    J0, _, _ = angular_momentum(initial, mp)
-    j0 = float(np.linalg.norm(J0))
-
-    specs = list(events)
-    ts = [t0]
-    ys = [initial.as_vector().copy()]
-    segments: list = []
-    out_events: List[Event] = []
-    n_steps = 0
-    status = "completed"
-    complete = True
-    state = initial
-    t_now = t0
-    mode = "cart" if state.r >= r_switch else "ks"
-
-    while True:
-        if n_steps >= max_steps:
-            status = "step_budget_exhausted"
-            complete = False
-            break
-        if mode == "cart":
-            res = _run_cart_phase(
-                rhs, mp, state, t_now, t1, rtol, atol, specs, max_steps - n_steps,
-                r_switch, forward,
-            )
-        else:
-            res = _run_ks_phase(
-                mp, state, t_now, t1, rtol, atol, specs, max_steps - n_steps,
-                r_exit, r_switch, kepler_only, direction,
-            )
-        ts.extend(res.ts)
-        ys.extend(res.ys)
-        segments.extend(res.segments)
-        out_events.extend(res.events)
-        n_steps += res.n_steps
-        if res.status == "switch":
-            state = res.exit_state
-            t_now = res.exit_t
-            mode = res.next_mode
-            continue
-        status = res.status
-        complete = status in ("completed", "event")
-        break
-
-    t_arr = np.array(ts)
-    y_arr = np.array(ys)
-    h_res, j_res = _residuals(mp, y_arr, h0, j0)
-    dense_sol = DenseSolution(segments, forward=forward) if dense else None
-    return Trajectory(
-        mp=mp,
-        t=t_arr,
-        y=y_arr,
-        dense=dense_sol,
-        events=out_events,
-        h_resid=h_res,
-        j_resid=j_res,
-        complete=complete,
-        status=status,
-        n_steps=n_steps,
-        h0=h0,
-        j0=j0,
-    )
+    return _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, dense,
+                      regularize=True, r_switch=r_switch)
 
 
-def _run_cart_phase(rhs, mp, state, t_start, t1, rtol, atol, specs, budget,
-                    r_switch, forward):
-    """Physical-coordinate phase with a terminal guard at r = r_switch."""
-    solver = DOP853(rhs, t_start, state.as_vector(), t1, rtol=rtol, atol=atol)
-    to_state = lambda seg, t: JacobiState.from_vector(seg.state_vector(t))
-    sgn = 1.0 if forward else -1.0
-    guard = EventSpec(
-        name="_ks_enter",
-        func=lambda t, st: st.r - r_switch,
-        direction=-1,
-        terminal=True,
-    )
-    all_specs = specs + [guard]
-    ev_vals = [sp.func(t_start, state) for sp in all_specs]
-    ts, ys, segments, events = [], [], [], []
-    n_steps = 0
-    while solver.status == "running":
-        if n_steps >= budget:
-            return _KSPhaseResult(ts, ys, segments, events, n_steps,
-                                  "step_budget_exhausted", "cart", None, None)
-        msg = solver.step()
-        if solver.status == "failed":
-            last = JacobiState.from_vector(ys[-1] if ys else state.as_vector())
-            raise IntegrationSingularityError(
-                f"integrator failed: {msg}", t=ts[-1] if ts else t_start, state=last
-            )
-        n_steps += 1
-        seg = _CartSegment(solver.dense_output())
-        t_prev = ts[-1] if ts else t_start
-        local_events: List[Event] = []
-        term_t = _scan_events(all_specs, ev_vals, t_prev, solver.t, seg, to_state, local_events)
-        switch_t = None
-        user_events = []
-        for ev in local_events:
-            if ev.kind == "_ks_enter":
-                if switch_t is None or sgn * ev.t < sgn * switch_t:
-                    switch_t = ev.t
-            else:
-                user_events.append(ev)
-        stop_t = None
-        stop_kind = None
-        if switch_t is not None:
-            stop_t, stop_kind = switch_t, "switch"
-        if term_t is not None and term_t != switch_t:
-            if stop_t is None or sgn * term_t < sgn * stop_t:
-                stop_t, stop_kind = term_t, "event"
-        if stop_t is not None:
-            events.extend(ev for ev in user_events if sgn * ev.t <= sgn * stop_t)
-            ts.append(stop_t)
-            ys.append(seg.state_vector(stop_t))
-            segments.append(seg)
-            if stop_kind == "switch":
-                return _KSPhaseResult(
-                    ts, ys, segments, events, n_steps, "switch", "ks",
-                    JacobiState.from_vector(seg.state_vector(stop_t)), stop_t,
-                )
-            return _KSPhaseResult(ts, ys, segments, events, n_steps, "event",
-                                  "cart", None, None)
-        events.extend(user_events)
-        ts.append(solver.t)
-        ys.append(solver.y.copy())
-        segments.append(seg)
-    return _KSPhaseResult(ts, ys, segments, events, n_steps, "completed",
-                          "cart", None, None)
-
-
-def _run_ks_phase(mp, state, t_start, t1, rtol, atol, specs, budget,
+def _run_ks_phase(mp, state, t_start, t1, rtol, atol, specs, budget, dense,
                   r_exit, r_switch, kepler_only, direction):
     """Regularized phase: integrate in fictitious time until r climbs back
     through r_exit, the physical time bound is hit, or budgets run out."""
@@ -802,9 +736,6 @@ def _run_ks_phase(mp, state, t_start, t1, rtol, atol, specs, budget,
     # fictitious-time horizon: ds ~ dt/r, be generous and let events stop us
     s_max = abs(t1 - t_start) / max(r_switch * 1e-6, 1e-12) + 10.0
     solver = DOP853(rhs, 0.0, z0, s_max, rtol=rtol, atol=atol)
-
-    def to_state(seg, t):
-        return JacobiState.from_vector(seg.state_vector(t))
 
     ts, ys, segments, events = [], [], [], []
     ev_vals = [sp.func(t_start, state) for sp in specs]
@@ -817,8 +748,8 @@ def _run_ks_phase(mp, state, t_start, t1, rtol, atol, specs, budget,
     while solver.status == "running":
         if n_steps >= budget:
             _log_collisions(events, collision_roots, stint_t0, prev_z[_KS_T])
-            return _KSPhaseResult(ts, ys, segments, events, n_steps,
-                                  "step_budget_exhausted", "ks", None, None)
+            return _PhaseResult(ts, ys, segments, events, n_steps,
+                                "step_budget_exhausted", "ks")
         msg = solver.step()
         if solver.status == "failed":
             last = JacobiState.from_vector(_ks_to_cart_vector(prev_z))
@@ -830,6 +761,8 @@ def _run_ks_phase(mp, state, t_start, t1, rtol, atol, specs, budget,
         t_prev = prev_z[_KS_T]
         t_now = solver.y[_KS_T]
         seg = _KSSegment(interp, t_prev, t_now)
+        if dense:
+            segments.append(seg)
 
         # radial minima: dr/d(travel) crossing - -> +, i.e. direction * u.u'
         # changing sign upward; collision when r at the minimum is ~ 0
@@ -844,42 +777,37 @@ def _run_ks_phase(mp, state, t_start, t1, rtol, atol, specs, budget,
                 st_col = JacobiState.from_vector(_ks_to_cart_vector(z_root))
                 collision_roots.append((float(z_root[_KS_T]), st_col))
 
+        y_now = _ks_to_cart_vector(solver.y)
+        state_now = JacobiState.from_vector(y_now)
         local_events: List[Event] = []
-        term_t = _scan_events(specs, ev_vals, t_prev, t_now, seg, to_state, local_events)
+        crossed = _sign_changes(specs, ev_vals, t_now, state_now)
+        stop = _locate_events(specs, crossed, t_prev, t_now, seg, state_now, local_events)
 
         # physical time bound
         passed_bound = (direction > 0 and t_now >= t1) or (direction < 0 and t_now <= t1)
         exit_r = float(solver.y[0:4] @ solver.y[0:4])
-        if term_t is not None:
-            events.extend(ev for ev in local_events if sgn * ev.t <= sgn * term_t)
-            ts.append(term_t)
-            ys.append(seg.state_vector(term_t))
-            segments.append(seg)
-            _log_collisions(events, collision_roots, stint_t0, term_t)
-            return _KSPhaseResult(ts, ys, segments, events, n_steps, "event",
-                                  "ks", None, None)
+        if stop is not None:
+            events.extend(ev for ev in local_events if sgn * ev.t <= sgn * stop.t)
+            ts.append(stop.t)
+            ys.append(stop.state.as_vector())
+            _log_collisions(events, collision_roots, stint_t0, stop.t)
+            return _PhaseResult(ts, ys, segments, events, n_steps, "event", "ks")
         if passed_bound:
             events.extend(ev for ev in local_events if sgn * ev.t <= sgn * t1)
             ts.append(t1)
             ys.append(seg.state_vector(t1))
-            segments.append(seg)
             _log_collisions(events, collision_roots, stint_t0, t1)
-            return _KSPhaseResult(ts, ys, segments, events, n_steps, "completed",
-                                  "ks", None, None)
+            return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "ks")
         events.extend(local_events)
         ts.append(t_now)
-        ys.append(_ks_to_cart_vector(solver.y))
-        segments.append(seg)
+        ys.append(y_now)
         if exit_r >= r_exit:
             _log_collisions(events, collision_roots, stint_t0, t_now)
-            return _KSPhaseResult(
-                ts, ys, segments, events, n_steps, "switch", "cart",
-                JacobiState.from_vector(_ks_to_cart_vector(solver.y)), t_now,
-            )
+            return _PhaseResult(ts, ys, segments, events, n_steps, "switch", "cart",
+                                state_now, t_now)
         prev_z = solver.y.copy()
         prev_s = solver.t
-    return _KSPhaseResult(ts, ys, segments, events, n_steps, "completed",
-                          "ks", None, None)
+    return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "ks")
 
 
 def _log_collisions(events, roots, t_enter, t_exit):

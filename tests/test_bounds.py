@@ -238,6 +238,21 @@ class TestStripsAndMain:
         for I_bar in (bs.R_bar, 2 * bs.R_bar, bs.R_bar_lambda):
             assert bs.epsilon(I_bar) <= 1.0
 
+    def test_level_helpers_use_far_body_labeling(self):
+        # the constants of far body 1 come from the relabeled masses
+        # (2, 3, 1); rho_bar, epsilon and i_plus must use the same labeling
+        mp = MassParams(1.0, 2.0, 3.0)
+        bs = compute_chain(mp, -0.5, 0.2, far_body=1)
+        level = 10.0 * bs.R
+        assert bs.rho_bar(level) == pytest.approx(411.13001207219315, rel=1e-9)
+        assert bs.epsilon(level) == 1.0 / bs.rho_bar(level)
+        mpk = MassParams(2.0, 3.0, 1.0)
+        assert bs.i_plus(level) == 4.0 * (level - mpk.alpha1 * bs.c_r**2)
+        # far body 3 is the identity labeling
+        bs3 = compute_chain(mp, -0.5, 0.2)
+        level3 = 10.0 * bs3.R
+        assert bs3.rho_bar(level3) == math.sqrt((level3 - mp.alpha1 * bs3.c_r**2) / mp.alpha2)
+
     def test_strip_ceiling_exceeds_floor(self, appendix_chain):
         bs = appendix_chain
         mp = bs.mp

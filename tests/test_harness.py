@@ -180,6 +180,53 @@ class TestConfigRoundTrip:
         cfg2 = ScenarioConfig.from_json(text)
         assert cfg2.to_dict() == cfg.to_dict()
         assert cfg2.config_hash() == cfg.config_hash()
+        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("path", [
+        ("budget_factr",), ("jobs",), ("sampler", "cout"), ("sampler", "inner", "a1"),
+        ("sampler", "outer", "i_hi"),
+    ])
+    def test_rejects_unknown_keys(self, path):
+        d = appendix_cfg().to_dict()
+        node = d
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = 1.0
+        with pytest.raises(ValueError, match=path[-1]):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("path, value", [
+        (("sampler", "count"), 0), (("sampler", "count"), -3), (("sampler", "count"), 2.5),
+        (("max_steps",), 0), (("tol",), 0.0), (("budget_factor",), -1.0),
+        (("far_body",), 0), (("far_body",), 4), (("H",), -math.inf), (("level",), math.nan),
+        (("J",), [0.0, 0.0, math.inf]), (("sampler", "inner", "e1"), [0.0, math.nan]),
+    ])
+    def test_rejects_bad_values(self, path, value):
+        d = appendix_cfg().to_dict()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError):
+            ScenarioConfig.from_dict(d)
+
+    def test_accepts_benchmark_configs(self, tmp_path):
+        # the scenario configs perfbench/run.py writes stay valid
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+        spec = importlib.util.spec_from_file_location("perfbench_run", path)
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        theorem = run.TheoremStrip(seed=1, work=tmp_path)
+        theorem.R = 17.281577670534876
+        sandwich = run.SandwichStrip(seed=1, work=tmp_path)
+        sandwich.shift = [0.25, 0.75]
+        for k in range(4):
+            ScenarioConfig.from_dict(json.loads(json.dumps(theorem.config(k))))
+            argv, _, _ = sandwich.batch(k)
+            ScenarioConfig.from_json(Path(argv[1]).read_text())
 
     def test_scalar_J_becomes_z_vector(self):
         cfg = ScenarioConfig(masses=(1, 1, 1), H=-0.5, J=0.3)
@@ -263,6 +310,18 @@ class TestCli:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["samples"]) == 3
+
+    @pytest.mark.parametrize("typo", ["budget_factr", "sampler.cout"])
+    def test_config_typo_exit_two(self, tmp_path, capsys, typo):
+        d = appendix_cfg(count=1, level=18.0).to_dict()
+        if typo == "sampler.cout":
+            d["sampler"]["cout"] = 3
+        else:
+            d[typo] = 2.0
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        assert self.run_cli("--config", str(p), "verify-theorem") == 2
+        assert typo.split(".")[-1] in capsys.readouterr().err
 
     def test_unknown_command_exit_two(self):
         assert self.run_cli("frobnicate") == 2

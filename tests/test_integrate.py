@@ -1,12 +1,15 @@
 """Adaptive integration, event detection, and regularized collision passage."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from lunarbound import kepler as kp
-from lunarbound.core import JacobiState, MassParams, energy_split, moment_of_inertia
+from lunarbound.core import (
+    JacobiState, MassParams, angular_momentum, energy_split, make_rhs, moment_of_inertia,
+)
 from lunarbound.integrate import (
     EventSpec,
     IntegrationSingularityError,
@@ -293,6 +296,77 @@ class TestRegularized:
         st = JacobiState(xi1=[0.5, 0, 0], dxi1=[0, 2.3, 0], xi2=[0, 1.0, 0], dxi2=[0, -0.5, 0])
         with pytest.raises(IntegrationSingularityError):
             integrate_regularized(st, mp, (0.0, 10.0), kepler_only=True)
+
+
+class TestLeanStepLoop:
+    """Events are tested at step ends; interpolants and residuals are built
+    only where they are read."""
+
+    def test_dense_flag_does_not_change_the_run(self):
+        mp, st = hierarchical_state(vr=-0.3)
+        level = 0.8 * moment_of_inertia(st, mp)
+        ev = EventSpec("entry", lambda t, s: moment_of_inertia(s, mp) - level, -1, True)
+        lean = integrate(st, mp, (0.0, 200.0), events=[ev], dense=False)
+        full = integrate(st, mp, (0.0, 200.0), events=[ev], dense=True)
+        assert lean.status == full.status == "event"
+        assert lean.dense is None
+        assert np.array_equal(lean.t, full.t)
+        assert np.array_equal(lean.y, full.y)
+        assert lean.n_steps == full.n_steps
+        assert [e.t for e in lean.events] == [e.t for e in full.events]
+
+    def test_step_end_root_when_interpolant_misses_by_rounding(self):
+        # the step-end value sits on the level, but the interpolant rounds
+        # both ends of the step to the same side: the step end is the root
+        from lunarbound.integrate import _locate_events
+
+        mp, st = hierarchical_state()
+        level = moment_of_inertia(st, mp)
+        spec = EventSpec("entry", lambda t, s: moment_of_inertia(s, mp) - level, -1, True)
+
+        class RoundedSegment:
+            def state_vector(self, t):
+                return st.as_vector() * (1.0 + 1e-15)
+
+        found = []
+        stop = _locate_events([spec], [0], 0.0, 2.5, RoundedSegment(), st, found)
+        assert found == [stop]
+        assert stop.t == 2.5 and stop.state is st
+
+    def test_event_free_run_builds_no_interpolant(self, monkeypatch):
+        module = importlib.import_module("lunarbound.integrate")
+        calls = [0]
+
+        def counting_make_rhs(mp, kepler_only=False):
+            rhs = make_rhs(mp, kepler_only=kepler_only)
+
+            def wrapped(t, y):
+                calls[0] += 1
+                return rhs(t, y)
+
+            return wrapped
+
+        monkeypatch.setattr(module, "make_rhs", counting_make_rhs)
+        mp, st = hierarchical_state()
+        traj = integrate(st, mp, (0.0, 100.0), dense=False)
+        assert traj.complete and traj.n_steps > 50
+        # 12 stages per accepted step plus rejections; a dense interpolant
+        # would add 3 more per step
+        assert calls[0] / traj.n_steps < 14.0
+
+    def test_vectorized_residuals_match_node_loop(self):
+        mp, st = hierarchical_state(vr=-0.25, vt=0.1)
+        traj = integrate(st, mp, (0.0, 60.0), dense=False)
+        h = np.empty(len(traj.t))
+        j = np.empty(len(traj.t))
+        for i, row in enumerate(traj.y):
+            node = JacobiState.from_vector(row)
+            h[i] = energy_split(node, mp)[0]
+            j[i] = float(np.linalg.norm(angular_momentum(node, mp)[0]))
+        h_ref = (h - traj.h0) / abs(traj.h0)
+        j_ref = (j - traj.j0) / traj.j0
+        assert np.abs(traj.h_resid - h_ref).max() <= 1e-13
+        assert np.abs(traj.j_resid - j_ref).max() <= 1e-13
 
 
 class TestTrajectoryExport:
