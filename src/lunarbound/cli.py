@@ -91,7 +91,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = _load_config(args)
     states = sample_initial_conditions(cfg)
-    mp = cfg.mp
+    mp = cfg.far_mp
     if args.format == "csv":
         lines = ["# lunar-bound/1 samples",
                  "index,xi1x,xi1y,xi1z,dxi1x,dxi1y,dxi1z,"
@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
     states = sample_initial_conditions(cfg)
     st = states[args.index]
     run = integrate_regularized if cfg.regularize else integrate
-    traj = run(st, cfg.mp, (0.0, args.t1), rtol=cfg.tol, atol=cfg.tol)
+    traj = run(st, cfg.far_mp, (0.0, args.t1), rtol=cfg.tol, atol=cfg.tol)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     traj.to_csv(out_dir / "trajectory.csv")

@@ -73,10 +73,8 @@ def canonical_json(obj) -> str:
     def write(o):
         if o is None:
             out.append("null")
-        elif o is True:
-            out.append("true")
-        elif o is False:
-            out.append("false")
+        elif isinstance(o, (bool, np.bool_)):
+            out.append("true" if o else "false")
         elif isinstance(o, (np.floating, float)):
             out.append(_float_repr(float(o)))
         elif isinstance(o, (np.integer, int)):
@@ -198,9 +196,15 @@ class ScenarioConfig:
             raise ValueError("H must be negative")
         if self.far_body not in (1, 2, 3):
             raise ValueError(f"far_body must be 1, 2 or 3, got {self.far_body!r}")
-        for name, val in (("sampler.count", self.count), ("max_steps", self.max_steps)):
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
+        for name, val, lo in (("sampler.count", self.count, 1), ("max_steps", self.max_steps, 1),
+                              ("sampler.seed", self.seed, 0)):
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {val!r}")
+        for name, val in (("sampler.planar", self.planar), ("regularize", self.regularize),
+                          ("inbound_only", self.inbound_only),
+                          ("lazy_directions", self.lazy_directions)):
+            if not isinstance(val, bool):
+                raise ValueError(f"{name} must be true or false, got {val!r}")
         if not (self.tol > 0.0 and self.budget_factor > 0.0):
             raise ValueError("tol and budget_factor must be positive")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
@@ -209,6 +213,12 @@ class ScenarioConfig:
     @property
     def mp(self) -> MassParams:
         return MassParams(*self.masses)
+
+    @property
+    def far_mp(self) -> MassParams:
+        """The masses relabeled so that far_body is last: the labeling of the
+        chain's constants, in which states are sampled and integrated."""
+        return self.mp.relabeled(self.far_body)
 
     @property
     def J_vec(self) -> np.ndarray:
@@ -342,8 +352,9 @@ def _inner_state(rng, mp: MassParams, cfg: ScenarioConfig, c_r: float):
 
 
 def _sample_one(cfg: ScenarioConfig, bs: BoundSet, I_lo: float, I_hi: float, index: int) -> JacobiState:
-    """One level-exact state; retries feasibility-violating draws."""
-    mp = cfg.mp
+    """One level-exact state in the far-body labeling (cfg.far_mp); retries
+    feasibility-violating draws."""
+    mp = cfg.far_mp
     rng = _rng_for(cfg.seed, index)
     J_vec = cfg.J_vec
     last_reason = "no draw attempted"
@@ -408,7 +419,8 @@ def _sampling_window(cfg: ScenarioConfig, bs: BoundSet, level: float):
 
 
 def sample_initial_conditions(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -> List[JacobiState]:
-    """Draw cfg.count states at the exact (H, J) levels.
+    """Draw cfg.count states at the exact (H, J) levels, written in the
+    far-body labeling (cfg.far_mp).
 
     Residuals |H(state) - H| and |J(state) - J| land at rounding level; the
     test suite pins them below 1e-12 relative.
@@ -501,7 +513,7 @@ class ExperimentReport:
 def _budget_rho(bs: BoundSet, level: float) -> float:
     """rho_bar at the level, clamped to >= 1 so sub-threshold levels (the
     negative control) still get a finite, meaningful time budget."""
-    mp = bs.mp
+    mp = bs.mp.relabeled(bs.far_body)
     val = (level - mp.alpha1 * bs.c_r**2) / mp.alpha2
     return math.sqrt(max(val, 1.0))
 
@@ -534,7 +546,7 @@ def _first_entry(state: JacobiState, mp: MassParams, bs: BoundSet, level: float,
 
 def _run_sample(args) -> dict:
     cfg, bs, level, t_budget, I_lo, I_hi, index = args
-    mp = cfg.mp
+    mp = cfg.far_mp
     state = _sample_one(cfg, bs, I_lo, I_hi, index)
     H, _, _, _ = energy_split(state, mp)
     J, _, _ = angular_momentum(state, mp)
@@ -654,7 +666,7 @@ def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None,
     if bs is None:
         bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag, far_body=cfg.far_body,
                            lam=cfg.lam, B1=cfg.B1)
-    mp = cfg.mp
+    mp = cfg.far_mp
     if I_bar is None:
         I_bar = bs.R_bar
     eps = bs.epsilon(I_bar)

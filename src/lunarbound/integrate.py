@@ -1,12 +1,14 @@
 """High-accuracy integration of the coupled system with events.
 
-The stepper is scipy's DOP853 (8th order with embedded error control and a
-7th-order dense interpolant), driven manually so that we control the step
-budget, event localization and the coordinate switches of the regularized
-path.  Backward time is first class: pass t1 < t0.
+The stepper is DOP853 (8th order with embedded error control and a
+7th-order dense interpolant), an in-repo driver on scipy's own tableau that
+reproduces scipy.integrate.DOP853's arithmetic without its per-call
+wrappers.  It is driven manually so that we control the step budget, event
+localization and the coordinate switches of the regularized path.
+Backward time is first class: pass t1 < t0.
 
 Event functions are evaluated on the state at the end of each accepted
-step.  Only a step over which one of them changes sign pays for scipy's
+step.  Only a step over which one of them changes sign pays for the
 dense interpolant (three extra RHS stages); the root is polished on it with
 Brent's method, so event times are good to ~1e-12 relative.
 
@@ -20,15 +22,20 @@ from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
-from .core import JacobiState, MassParams, angular_momentum, energy_split, make_rhs, moment_of_inertia
+from .core import (
+    JacobiState, MassParams, _coupling_kernel, _float_rhs, angular_momentum, energy_split, make_rhs,
+    moment_of_inertia,
+)
 
 __all__ = [
     "IntegrationSingularityError",
@@ -97,6 +104,124 @@ def outer_pericenter_event() -> EventSpec:
         func=lambda t, st: float(st.xi2 @ st.dxi2),
         direction=+1,
     )
+
+
+# ---------------------------------------------------------------------------
+# The stepper
+
+class DOP853:
+    """scipy.integrate.DOP853 without OdeSolver's per-call wrappers.
+
+    Scipy's tableau (Hairer, Norsett and Wanner) with scipy's operations in
+    scipy's order: the same np.dot operand layouts, error norm, step-size
+    control and initial step, so t, y, status and dense output are bitwise
+    equal to scipy's.  Scalars are Python floats; tolerances are scalars
+    with scipy's checks.  A step below ten float spacings of t sets status
+    "failed" and returns scipy's message.
+    """
+
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+    _N = _dop.N_STAGES
+    _EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
+
+    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6):
+        y0 = np.asarray(y0).astype(float, copy=False)
+        if not np.isfinite(y0).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        eps100 = 100 * np.finfo(float).eps
+        if rtol < eps100:
+            warnings.warn("At least one element of `rtol` is too small. "
+                          f"Setting `rtol = np.maximum(rtol, {eps100})`.", stacklevel=2)
+            rtol = eps100
+        if atol < 0:
+            raise ValueError("`atol` must be positive.")
+        self.fun, self.rtol, self.atol = fun, rtol, atol
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.t_old = self.y_old = self.h_previous = None
+        self.direction = 1.0 if t_bound >= t0 else -1.0
+        self.status = "running"
+        self.n = n = y0.size
+        K = self._K = np.empty((_dop.N_STAGES_EXTENDED, n))
+        A, C, N = _dop.A, _dop.C.tolist(), self._N
+        # per-stage views K[:s].T, as scipy's rk_step slices them each call
+        self._stages = [(s, K[:s].T, A[s, :s], C[s]) for s in range(1, N)]
+        self._extra = [(s, K[:s].T, A[s, :s], C[s]) for s in range(N + 1, len(C))]
+        self._KT_b = K[:N].T
+        self._KT_e = K[:N + 1].T
+        self.f = fun(t0, y0)
+        self.h_abs = self._initial_step()
+
+    def _norm(self, x) -> float:
+        return math.sqrt(x.dot(x)) / self.n ** 0.5
+
+    def _initial_step(self) -> float:
+        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
+        interval_length = abs(self.t_bound - t0)
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = self._norm(y0 / scale)
+        d1 = self._norm(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        f1 = self.fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+        d2 = self._norm((f1 - f0) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / 8))
+        return min(100 * h0, h1, interval_length)
+
+    def step(self):
+        """Advance one accepted step; returns None, or the failure message."""
+        fun, K = self.fun, self._K
+        t, y, f, direction, t_bound = self.t, self.y, self.f, self.direction, self.t_bound
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, KT, a, c in self._stages:
+                K[s] = fun(t + c * h, y + np.dot(KT, a) * h)
+            y_new = y + h * np.dot(self._KT_b, _dop.B)
+            f_new = fun(t + h, y_new)
+            K[self._N] = f_new
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            err5 = np.dot(self._KT_e, _dop.E5) / scale
+            err3 = np.dot(self._KT_e, _dop.E3) / scale
+            e5 = math.sqrt(err5.dot(err5)) ** 2
+            e3 = math.sqrt(err3.dot(err3)) ** 2
+            error_norm = (0.0 if e5 == 0 and e3 == 0
+                          else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * self.n))
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** self._EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** self._EXPONENT)
+            rejected = True
+        self.h_previous, self.t_old, self.y_old = h, t, y
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        if direction * (t_new - t_bound) >= 0:
+            self.status = "finished"
+        return None
+
+    def dense_output(self) -> Dop853DenseOutput:
+        """The 7th-order interpolant over the last step (3 extra stages)."""
+        K, h, t_old, y_old = self._K, self.h_previous, self.t_old, self.y_old
+        for s, KT, a, c in self._extra:
+            K[s] = self.fun(t_old + c * h, y_old + np.dot(KT, a) * h)
+        F = np.empty((_dop.INTERPOLATOR_POWER, self.n))
+        f_old = K[0]
+        delta_y = self.y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * np.dot(_dop.D, K)
+        return Dop853DenseOutput(t_old, self.t, y_old, F)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +598,7 @@ def _run_cart_phase(rhs, state, t_start, t1, rtol, atol, specs, budget, dense,
             raise IntegrationSingularityError(f"integrator failed: {msg}", t=t_prev, state=last)
         n_steps += 1
         t_now = solver.t
-        y_now = solver.y.copy()
+        y_now = solver.y
         state_now = JacobiState.from_vector(y_now) if specs else None
         crossed = _sign_changes(specs, ev_vals, t_now, state_now)
         seg = _CartSegment(solver.dense_output()) if dense or crossed else None
@@ -651,52 +776,43 @@ def _ks_to_cart_vector(z: np.ndarray) -> np.ndarray:
 
 def _make_ks_rhs(mp: MassParams, kepler_only: bool, direction: float):
     """Fictitious-time field: d/ds = direction * r * d/dt plus the oscillator
-    form of the inner equation.  Regular at r = 0."""
-    mu = mp.mu
-    a1 = mp.alpha1
+    form of the inner equation.  Regular at r = 0.  Python floats, with the
+    coupling from core's kernel."""
     M = mp.M
-    a2 = mp.alpha2
-    m13 = mp.m1 * mp.m3
-    m23 = mp.m2 * mp.m3
-    mu1, mu2 = mp.mu1, mp.mu2
-    beta2 = mp.beta2
+    a1, a2 = mp.alpha1, mp.alpha2
+    coupling = _coupling_kernel(mp, kepler_only)
+    d = direction
 
-    def rhs(s, z):
-        u = z[0:4]
-        up = z[4:8]
-        h1 = z[8]
-        xi2 = z[10:13]
-        v2 = z[13:16]
-        r = float(u @ u)
-        L = _ks_matrix(u)
-        xi1 = L @ u
-        rho2 = float(xi2 @ xi2)
+    def field(z):
+        u1, u2, u3, u4, p1, p2, p3, p4, h1, _, x2, y2, z2, vx, vy, vz = z
+        r = u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
+        # xi1 = L(u) u, with L the KS matrix (_ks_matrix)
+        x1 = u1 * u1 - u2 * u2 - u3 * u3 + u4 * u4
+        y1 = 2.0 * (u1 * u2 - u3 * u4)
+        z1 = 2.0 * (u1 * u3 + u2 * u4)
+        rho2 = x2 * x2 + y2 * y2 + z2 * z2
         rho3 = rho2 * math.sqrt(rho2)
-        acc2 = -M / rho3 * xi2
-        if kepler_only:
-            P = np.zeros(3)
-        else:
-            uvec = xi2 + mu2 * xi1
-            wvec = xi2 - mu1 * xi1
-            nu2 = float(uvec @ uvec)
-            nw2 = float(wvec @ wvec)
-            cu = m13 / (nu2 * math.sqrt(nu2))
-            cw = m23 / (nw2 * math.sqrt(nw2))
-            g1 = mu2 * cu * uvec - mu1 * cw * wvec
-            g2 = cu * uvec + cw * wvec - beta2 / rho3 * xi2
-            P = -g1 / a1
-            acc2 = acc2 - g2 / a2
-        Lup = L @ up
-        dz = np.empty(16)
-        dz[0:4] = direction * up
-        dz[4:8] = direction * (0.5 * h1 * u + 0.5 * r * (L.T @ P))
-        dz[8] = direction * 2.0 * float(Lup @ P)
-        dz[9] = direction * r
-        dz[10:13] = direction * r * v2
-        dz[13:16] = direction * r * acc2
-        return dz
+        g1x, g1y, g1z, g2x, g2y, g2z = coupling(x1, y1, z1, x2, y2, z2, rho3)
+        Px, Py, Pz = -g1x / a1, -g1y / a1, -g1z / a1
+        c2 = -M / rho3
+        hh, hr, dr = 0.5 * h1, 0.5 * r, d * r
+        # (L(u) u') . P, where L(u) u' = (r / 2) dxi1/dt
+        lp = ((u1 * p1 - u2 * p2 - u3 * p3 + u4 * p4) * Px
+              + (u2 * p1 + u1 * p2 - u4 * p3 - u3 * p4) * Py
+              + (u3 * p1 + u4 * p2 + u1 * p3 + u2 * p4) * Pz)
+        return np.array([
+            d * p1, d * p2, d * p3, d * p4,
+            # 0.5 h1 u + 0.5 r L(u)^T P
+            d * (hh * u1 + hr * (u1 * Px + u2 * Py + u3 * Pz)),
+            d * (hh * u2 + hr * (-u2 * Px + u1 * Py + u4 * Pz)),
+            d * (hh * u3 + hr * (-u3 * Px - u4 * Py + u1 * Pz)),
+            d * (hh * u4 + hr * (u4 * Px - u3 * Py + u2 * Pz)),
+            d * 2.0 * lp,
+            dr, dr * vx, dr * vy, dr * vz,
+            dr * (c2 * x2 - g2x / a2), dr * (c2 * y2 - g2y / a2), dr * (c2 * z2 - g2z / a2),
+        ])
 
-    return rhs
+    return _float_rhs(field)
 
 
 def integrate_regularized(
@@ -805,7 +921,7 @@ def _run_ks_phase(mp, state, t_start, t1, rtol, atol, specs, budget, dense,
             _log_collisions(events, collision_roots, stint_t0, t_now)
             return _PhaseResult(ts, ys, segments, events, n_steps, "switch", "cart",
                                 state_now, t_now)
-        prev_z = solver.y.copy()
+        prev_z = solver.y
         prev_s = solver.t
     return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "ks")
 

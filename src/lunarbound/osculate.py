@@ -377,8 +377,8 @@ def certify_entry(
     ``state`` falls to rho_bar(level) - A1 eps.  Hypotheses, each checked:
 
       * level >= R_bar, so eps <= 1 and the deviation constants apply;
-      * the bound set describes the state's own Jacobi splitting (its
-        masses, with its far body as the outer one);
+      * the bound set describes the state's own Jacobi splitting (mp is
+        its masses relabeled with its far body last);
       * A1, eps, the horizon B1 eps^(-3/2) and t* are finite, and
         |t*| <= min(horizon, t_max).
 
@@ -392,7 +392,7 @@ def certify_entry(
     """
     if not (math.isfinite(level) and level >= bs.R_bar):
         return None
-    if not bs.mp == mp == bs.mp.relabeled(bs.far_body):
+    if mp != bs.mp.relabeled(bs.far_body):
         return None
     eps = bs.epsilon(level)
     gap = bs.A1 * eps

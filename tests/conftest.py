@@ -39,6 +39,16 @@ def random_jacobi_state(rng, scale=1.0, hierarchical=True):
     return JacobiState(xi1=xi1, dxi1=dxi1, xi2=xi2, dxi2=dxi2)
 
 
+def coupling_term_sizes(js: JacobiState, mp: MassParams):
+    """|m1 m3 u / |u|^3| and |m2 m3 w / |w|^3|, the summands of the coupling
+    gradients (u, w: far body relative to the two binary members).  The
+    dipole parts of the sums cancel, so any two ways of computing the
+    gradients agree to rounding of these sizes, not of the result."""
+    nu = np.linalg.norm(js.xi2 + mp.mu2 * js.xi1)
+    nw = np.linalg.norm(js.xi2 - mp.mu1 * js.xi1)
+    return mp.m1 * mp.m3 / nu ** 2, mp.m2 * mp.m3 / nw ** 2
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lunarbound.core import (
+    _coupling_kernel,
     CartesianState,
     JacobiState,
     MassParams,
@@ -22,7 +23,47 @@ from lunarbound.core import (
     vector_field,
 )
 
-from conftest import random_jacobi_state
+from conftest import coupling_term_sizes, random_jacobi_state
+
+
+def reference_rhs(mp: MassParams, kepler_only: bool = False):
+    """make_rhs as it was before the coupling kernel: the same operations,
+    evaluated on numpy scalars read from y[0]..y[5]."""
+    m1, m2, m3 = mp.m1, mp.m2, mp.m3
+    mu, M = mp.mu, mp.M
+    mu1, mu2 = mp.mu1, mp.mu2
+    a1, a2 = mp.alpha1, mp.alpha2
+    beta2 = mp.beta2
+    m13 = m1 * m3
+    m23 = m2 * m3
+
+    def rhs(t, y):
+        x1, y1, z1, x2, y2, z2 = y[0], y[1], y[2], y[3], y[4], y[5]
+        r2 = x1 * x1 + y1 * y1 + z1 * z1
+        p2 = x2 * x2 + y2 * y2 + z2 * z2
+        r3 = r2 * math.sqrt(r2)
+        p3 = p2 * math.sqrt(p2)
+        c1 = -mu / r3
+        c2 = -M / p3
+        ax1, ay1, az1 = c1 * x1, c1 * y1, c1 * z1
+        ax2, ay2, az2 = c2 * x2, c2 * y2, c2 * z2
+        if not kepler_only:
+            ux, uy, uz = x2 + mu2 * x1, y2 + mu2 * y1, z2 + mu2 * z1
+            wx, wy, wz = x2 - mu1 * x1, y2 - mu1 * y1, z2 - mu1 * z1
+            nu2 = ux * ux + uy * uy + uz * uz
+            nw2 = wx * wx + wy * wy + wz * wz
+            cu = m13 / (nu2 * math.sqrt(nu2))
+            cw = m23 / (nw2 * math.sqrt(nw2))
+            gb = beta2 / p3
+            ax1 -= (mu2 * cu * ux - mu1 * cw * wx) / a1
+            ay1 -= (mu2 * cu * uy - mu1 * cw * wy) / a1
+            az1 -= (mu2 * cu * uz - mu1 * cw * wz) / a1
+            ax2 -= (cu * ux + cw * wx - gb * x2) / a2
+            ay2 -= (cu * uy + cw * wy - gb * y2) / a2
+            az2 -= (cu * uz + cw * wz - gb * z2) / a2
+        return np.array([y[6], y[7], y[8], y[9], y[10], y[11], ax1, ay1, az1, ax2, ay2, az2])
+
+    return rhs
 
 
 def cartesian_energy(state: CartesianState, mp: MassParams) -> float:
@@ -276,6 +317,19 @@ class TestPerturbationGradients:
         assert abs(g1[1]) < 1e-15 and abs(g1[2]) < 1e-15
 
 
+class TestCouplingKernel:
+    def test_matches_perturbation_gradients(self, rng):
+        mp = MassParams(0.8, 1.1, 1.7)
+        coupling = _coupling_kernel(mp)
+        for k in range(200):
+            js = random_jacobi_state(rng, hierarchical=k % 2 == 0)
+            g1, g2 = perturbation_gradients(js, mp)
+            got = coupling(*js.xi1.tolist(), *js.xi2.tolist(), js.rho ** 3)
+            su, sw = coupling_term_sizes(js, mp)
+            assert np.linalg.norm(np.array(got[:3]) - g1) <= 1e-14 * (mp.mu2 * su + mp.mu1 * sw)
+            assert np.linalg.norm(np.array(got[3:]) - g2) <= 1e-14 * (mp.beta2 / js.rho ** 2 + su + sw)
+
+
 class TestVectorField:
     def test_kepler_only_limit(self, rng):
         mp = MassParams(0.8, 1.1, 1.7)
@@ -291,6 +345,25 @@ class TestVectorField:
         js = random_jacobi_state(rng)
         rhs = make_rhs(mp)
         assert np.allclose(rhs(0.0, js.as_vector()), vector_field(js, mp), rtol=1e-15)
+
+    @pytest.mark.parametrize("kepler_only", [False, True])
+    def test_rhs_bitwise_equal_to_numpy_scalar_reference(self, rng, kepler_only):
+        mp = MassParams(0.8, 1.1, 1.7)
+        rhs = make_rhs(mp, kepler_only=kepler_only)
+        ref = reference_rhs(mp, kepler_only=kepler_only)
+        for k in range(1000):
+            y = random_jacobi_state(rng, scale=10.0 ** rng.uniform(-3, 3),
+                                    hierarchical=k % 2 == 0).as_vector()
+            assert np.array_equal(rhs(0.0, y), ref(0.0, y)), y
+
+    def test_rhs_at_zero_distance_matches_reference(self):
+        # Python floats raise at r = 0; the field still gives numpy's inf/nan
+        mp = MassParams(0.8, 1.1, 1.7)
+        y = np.array([0.0, 0, 0, 3, 1, 0, 0.5, 0, 0, 0, 0.1, 0])
+        with np.errstate(all="ignore"):
+            got, want = make_rhs(mp)(0.0, y), reference_rhs(mp)(0.0, y)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert not np.isfinite(got[6:9]).any()
 
     def test_force_is_minus_potential_gradient(self, rng):
         # d/dt of the split energy vanishes along the field

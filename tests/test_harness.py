@@ -165,6 +165,21 @@ class TestTheoremExperiment:
         agg = rep.aggregate
         assert agg["passed"] + agg["failed"] == agg["count"] == 5
 
+    def test_far_body_samples_in_its_own_labeling(self):
+        # far body 1 of masses (1, 2, 3) is far body 3 of (2, 3, 1): the same
+        # problem, so the same samples and verdicts (sampling in the input
+        # labeling raised SampleError here)
+        from lunarbound.bounds import compute_chain
+
+        level = 3.0 * compute_chain(MassParams(1.0, 2.0, 3.0), -0.5, 0.2, far_body=1).R_bar
+        reports = [
+            run_theorem_experiment(ScenarioConfig(masses=m, H=-0.5, J=0.2, far_body=k,
+                                                  level=level, count=4, seed=1))
+            for m, k in (((1.0, 2.0, 3.0), 1), ((2.0, 3.0, 1.0), 3))
+        ]
+        assert reports[0].samples == reports[1].samples
+        assert reports[0].time_budget == reports[1].time_budget
+
     def test_config_hash_embedded(self, appendix_chain):
         cfg = appendix_cfg(count=2, seed=1, level=appendix_chain.R)
         rep = run_theorem_experiment(cfg, bs=appendix_chain)
@@ -276,6 +291,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "I*" in out and "32/27" in out
 
+    def test_appendix_writes_report(self, tmp_path, capsys):
+        # the checks are numpy booleans; the report used to fail to serialize
+        assert self.run_cli("--out", str(tmp_path), "appendix", "--count", "1") == 0
+        report = json.loads((tmp_path / "appendix_report.json").read_text())
+        assert report["checks"]["I_star_ok"] is True
+
     def test_bounds_rejects_bad_H(self, capsys):
         code = self.run_cli("--masses", "1", "1", "1", "--H", "0.2", "--J", "0.1", "bounds")
         assert code == 2
@@ -322,6 +343,21 @@ class TestCli:
         p.write_text(json.dumps(d))
         assert self.run_cli("--config", str(p), "verify-theorem") == 2
         assert typo.split(".")[-1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        (("regularize",), "no"), (("sampler", "planar"), "false"), (("sampler", "seed"), 1.5),
+        (("sampler", "seed"), -1), (("inbound_only",), 1), (("lazy_directions",), None),
+    ])
+    def test_config_bad_type_exit_two(self, tmp_path, capsys, path, value):
+        d = appendix_cfg(count=1, level=18.0).to_dict()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        assert self.run_cli("--config", str(p), "verify-theorem") == 2
+        assert path[-1] in capsys.readouterr().err
 
     def test_unknown_command_exit_two(self):
         assert self.run_cli("frobnicate") == 2

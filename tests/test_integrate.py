@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853 as ScipyDOP853
 
 from lunarbound import kepler as kp
 from lunarbound.core import (
     JacobiState, MassParams, angular_momentum, energy_split, make_rhs, moment_of_inertia,
+    perturbation_gradients,
 )
 from lunarbound.integrate import (
+    DOP853,
     EventSpec,
     IntegrationSingularityError,
     detect_I_crossing,
@@ -19,6 +22,8 @@ from lunarbound.integrate import (
     integrate_regularized,
     outer_pericenter_event,
 )
+
+from conftest import coupling_term_sizes
 
 
 def hierarchical_state(a1=0.3, rho=9.0, vr=-0.2, vt=0.15):
@@ -395,3 +400,107 @@ class TestTrajectoryExport:
         assert lines[0].startswith("# lunar-bound/1")
         assert lines[1] == "t,kind,payload"
         assert any("entry" in ln for ln in lines[2:])
+
+
+UNEQUAL = MassParams(0.6, 1.3, 2.1)
+UNEQUAL_STATES = [
+    JacobiState(xi1=[0.4, 0.05, 0.0], dxi1=[0.1, 2.2, 0.3],
+                xi2=[6.0, 1.0, -0.5], dxi2=[-0.3, 0.25, 0.05]),
+    JacobiState(xi1=[0.7, -0.2, 0.1], dxi1=[-0.4, 1.1, 0.0],
+                xi2=[-2.5, 3.0, 0.4], dxi2=[0.2, -0.6, 0.1]),
+    JacobiState(xi1=[0.2, 0.3, -0.1], dxi1=[2.0, -1.5, 0.8],
+                xi2=[1.5, -2.0, 1.0], dxi2=[0.9, 0.3, -0.4]),
+]
+
+
+class TestDOP853Driver:
+    """The in-repo stepper against scipy.integrate.DOP853, the reference it
+    reproduces operation by operation."""
+
+    @staticmethod
+    def assert_same_run(ours, ref, n_steps):
+        assert ours.h_abs == ref.h_abs
+        for _ in range(n_steps):
+            assert ours.step() == ref.step()
+            assert ours.t == ref.t and ours.status == ref.status
+            assert np.array_equal(ours.y, ref.y)
+            t_mid = 0.5 * (ours.t_old + ours.t)
+            assert np.array_equal(ours.dense_output()(t_mid), ref.dense_output()(t_mid))
+            if ref.status != "running":
+                break
+
+    @pytest.mark.parametrize("k", range(len(UNEQUAL_STATES)))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_steps_and_interpolants_bitwise_equal_to_scipy(self, k, sign):
+        rhs = make_rhs(UNEQUAL)
+        y0 = UNEQUAL_STATES[k].as_vector()
+        args = (rhs, 0.0, y0, sign * 1e4)
+        ours, ref = DOP853(*args, rtol=1e-12, atol=1e-12), ScipyDOP853(*args, rtol=1e-12, atol=1e-12)
+        self.assert_same_run(ours, ref, 300)
+        assert ours.status == "running"
+
+    def test_last_step_clipped_to_the_bound(self):
+        args = (make_rhs(UNEQUAL), 0.0, UNEQUAL_STATES[1].as_vector(), -2.0)
+        ours, ref = DOP853(*args, rtol=1e-10, atol=1e-10), ScipyDOP853(*args, rtol=1e-10, atol=1e-10)
+        self.assert_same_run(ours, ref, 10_000)
+        assert ours.status == "finished" and ours.t == -2.0
+
+    def test_scipy_argument_checks_kept(self):
+        rhs = make_rhs(UNEQUAL)
+        y0 = UNEQUAL_STATES[0].as_vector()
+        with pytest.warns(UserWarning, match="rtol"):
+            ours = DOP853(rhs, 0.0, y0, 1.0, rtol=1e-17, atol=1e-12)
+        with pytest.warns(UserWarning, match="rtol"):
+            ref = ScipyDOP853(rhs, 0.0, y0, 1.0, rtol=1e-17, atol=1e-12)
+        self.assert_same_run(ours, ref, 5)
+        bad = y0.copy()
+        bad[4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DOP853(rhs, 0.0, bad, 1.0)
+        with pytest.raises(ValueError, match="atol"):
+            DOP853(rhs, 0.0, y0, 1.0, atol=-1e-12)
+
+    def test_same_singularity_error_as_scipy(self, monkeypatch):
+        mp, st = two_body_collision_setup()
+        with pytest.raises(IntegrationSingularityError) as ours:
+            integrate(st, mp, (0.0, 2.5))
+        monkeypatch.setattr(importlib.import_module("lunarbound.integrate"), "DOP853", ScipyDOP853)
+        with pytest.raises(IntegrationSingularityError) as ref:
+            integrate(st, mp, (0.0, 2.5))
+        assert str(ours.value) == str(ref.value)
+        assert ours.value.t == ref.value.t
+        assert np.array_equal(ours.value.state.as_vector(), ref.value.state.as_vector())
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_ks_field_coupling_matches_perturbation_gradients(self, rng, direction):
+        from lunarbound.integrate import _ks_matrix, _make_ks_rhs
+
+        mp = UNEQUAL
+        rhs = _make_ks_rhs(mp, False, direction)
+        for _ in range(200):
+            u, up = rng.normal(size=4) * 0.3, rng.normal(size=4)
+            xi2, v2 = rng.normal(size=3) * 4.0, rng.normal(size=3) * 0.3
+            h1 = -abs(rng.normal())
+            dz = rhs(0.0, np.concatenate([u, up, [h1, rng.normal()], xi2, v2]))
+            L = _ks_matrix(u)
+            r = float(u @ u)
+            js = JacobiState(xi1=L @ u, dxi1=np.zeros(3), xi2=xi2, dxi2=v2)
+            rho = js.rho
+            g1, g2 = perturbation_gradients(js, mp)
+            P = -g1 / mp.alpha1
+            su, sw = coupling_term_sizes(js, mp)
+            p_size = (mp.mu2 * su + mp.mu1 * sw) / mp.alpha1
+            g2_size = (mp.beta2 / rho**2 + su + sw) / mp.alpha2
+            blocks = (
+                (dz[4:8], direction * (0.5 * h1 * u + 0.5 * r * (L.T @ P)),
+                 0.5 * abs(h1) * math.sqrt(r) + 0.5 * r * math.sqrt(r) * p_size),
+                (dz[8], direction * 2.0 * float((L @ up) @ P),
+                 2.0 * math.sqrt(r) * np.linalg.norm(up) * p_size),
+                (dz[13:16], direction * r * (-mp.M * xi2 / rho**3 - g2 / mp.alpha2),
+                 r * (mp.M / rho**2 + g2_size)),
+            )
+            for got, want, size in blocks:
+                assert np.linalg.norm(got - want) <= 1e-14 * size
+            assert np.array_equal(dz[0:4], direction * up)
+            assert dz[9] == pytest.approx(direction * r, rel=1e-15)
+            assert np.allclose(dz[10:13], direction * r * v2, rtol=1e-15, atol=0.0)
