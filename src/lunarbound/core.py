@@ -33,6 +33,7 @@ __all__ = [
     "perturbation",
     "perturbation_gradients",
     "vector_field",
+    "flat_inertia",
     "make_rhs",
 ]
 
@@ -215,9 +216,28 @@ def from_jacobi(state: JacobiState, mp: MassParams) -> CartesianState:
     return CartesianState(q1=q1, q2=q2, q3=q3, v1=v1, v2=v2, v3=v3)
 
 
-def moment_of_inertia(state: JacobiState, mp: MassParams) -> float:
-    """I = alpha1 r^2 + alpha2 rho^2 (equals sum m_i |q_i|^2 in the CoM frame)."""
-    return mp.alpha1 * float(state.xi1 @ state.xi1) + mp.alpha2 * float(state.xi2 @ state.xi2)
+def moment_of_inertia(state, mp: MassParams) -> float:
+    """I = alpha1 r^2 + alpha2 rho^2 (equals sum m_i |q_i|^2 in the CoM frame).
+
+    ``state`` is a JacobiState or a flat state vector in as_vector layout,
+    the form event functions receive.
+    """
+    if isinstance(state, JacobiState):
+        return mp.alpha1 * float(state.xi1 @ state.xi1) + mp.alpha2 * float(state.xi2 @ state.xi2)
+    return float(flat_inertia(mp)(state))
+
+
+def flat_inertia(mp: MassParams):
+    """I(y) on a flat state vector y (as_vector layout), with the mass
+    factors read once: the form for event functions, which run at every
+    step end."""
+    a1, a2 = mp.alpha1, mp.alpha2
+
+    def inertia(y):
+        x1, y1, z1, x2, y2, z2 = y[0], y[1], y[2], y[3], y[4], y[5]
+        return a1 * (x1 * x1 + y1 * y1 + z1 * z1) + a2 * (x2 * x2 + y2 * y2 + z2 * z2)
+
+    return inertia
 
 
 def angular_momentum(state: JacobiState, mp: MassParams):
@@ -341,12 +361,14 @@ def _coupling_kernel(mp: MassParams, kepler_only: bool = False):
 
 
 def make_rhs(mp: MassParams, kepler_only: bool = False):
-    """Allocation-light right-hand side f(t, y) for the adaptive integrators.
+    """Right-hand side f(t, y) of the adaptive integrators, on Python floats.
 
-    Layout matches JacobiState.as_vector: y = [xi1, xi2, dxi1, dxi2].
-    The state is unpacked once with y.tolist(), so all arithmetic runs on
-    Python floats, which cost a third to a half of numpy scalars here;
-    scalar code in turn beats vectorized numpy by ~4x at this dimension.
+    y is a list of 12 floats in the layout of JacobiState.as_vector,
+    [xi1, xi2, dxi1, dxi2], and f returns a new list in the same layout.
+    Python float arithmetic costs a third to a half of numpy scalars here,
+    and scalar code beats vectorized numpy by ~4x at this dimension.  Any
+    other sequence of floats works too: a numpy array is read as numpy
+    scalars, with the same results.
     """
     mu = mp.mu
     M = mp.M
@@ -354,7 +376,7 @@ def make_rhs(mp: MassParams, kepler_only: bool = False):
     coupling = _coupling_kernel(mp, kepler_only)
 
     def field(v):
-        x1, y1, z1, x2, y2, z2 = v[0], v[1], v[2], v[3], v[4], v[5]
+        x1, y1, z1, x2, y2, z2, vx1, vy1, vz1, vx2, vy2, vz2 = v
         r2 = x1 * x1 + y1 * y1 + z1 * z1
         p2 = x2 * x2 + y2 * y2 + z2 * z2
         r3 = r2 * math.sqrt(r2)
@@ -362,22 +384,23 @@ def make_rhs(mp: MassParams, kepler_only: bool = False):
         c1 = -mu / r3
         c2 = -M / p3
         g1x, g1y, g1z, g2x, g2y, g2z = coupling(x1, y1, z1, x2, y2, z2, p3)
-        return np.array(v[6:] + [
+        return [
+            vx1, vy1, vz1, vx2, vy2, vz2,
             c1 * x1 - g1x / a1, c1 * y1 - g1y / a1, c1 * z1 - g1z / a1,
             c2 * x2 - g2x / a2, c2 * y2 - g2y / a2, c2 * z2 - g2z / a2,
-        ])
+        ]
 
     return _float_rhs(field)
 
 
 def _float_rhs(field):
-    """rhs(t, y) = field(y.tolist()).  A zero distance, where Python floats
-    raise, is evaluated on numpy scalars instead, which give inf or nan."""
+    """rhs(t, y) = field(y).  A zero distance, where Python floats raise, is
+    evaluated on numpy scalars instead, which give inf or nan."""
 
     def rhs(t, y):
         try:
-            return field(y.tolist())
+            return field(y)
         except ZeroDivisionError:
-            return field(list(y))
+            return field(np.asarray(y, dtype=float))
 
     return rhs

@@ -28,7 +28,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import BoundSet, compute_chain, i0
-from .core import JacobiState, MassParams, angular_momentum, energy_split, moment_of_inertia, perturbation
+from .core import (
+    JacobiState, MassParams, angular_momentum, energy_split, flat_inertia, moment_of_inertia, perturbation,
+)
 from .integrate import EventSpec, integrate, integrate_regularized
 from .osculate import certify_entry, verify_deviation
 
@@ -525,9 +527,10 @@ def _first_entry(state: JacobiState, mp: MassParams, bs: BoundSet, level: float,
     t_cert = certify_entry(state, mp, bs, level, sign, t_budget)
     if t_cert is not None:
         return DirectionResult(True, t_cert, level, "certified_entry", 0)
+    inertia = flat_inertia(mp)
     ev = EventSpec(
         name="entry",
-        func=lambda t, st: moment_of_inertia(st, mp) - level,
+        func=lambda t, y: inertia(y) - level,
         direction=-1,
         terminal=True,
         payload={"level": level},
@@ -667,6 +670,7 @@ def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None,
         bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag, far_body=cfg.far_body,
                            lam=cfg.lam, B1=cfg.B1)
     mp = cfg.far_mp
+    inertia = flat_inertia(mp)
     if I_bar is None:
         I_bar = bs.R_bar
     eps = bs.epsilon(I_bar)
@@ -682,7 +686,7 @@ def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None,
         # past it and its strip check needs the true state there
         stop_ev = EventSpec(
             name="stop",
-            func=lambda t, st: moment_of_inertia(st, mp) - 0.9 * I_bar,
+            func=lambda t, y: inertia(y) - 0.9 * I_bar,
             direction=-1,
             terminal=True,
         )

@@ -1,16 +1,24 @@
 """High-accuracy integration of the coupled system with events.
 
 The stepper is DOP853 (8th order with embedded error control and a
-7th-order dense interpolant), an in-repo driver on scipy's own tableau that
-reproduces scipy.integrate.DOP853's arithmetic without its per-call
-wrappers.  It is driven manually so that we control the step budget, event
-localization and the coordinate switches of the regularized path.
-Backward time is first class: pass t1 < t0.
+7th-order dense interpolant), an in-repo driver on scipy's own tableau.
+Its hot path runs on Python floats end to end: states and RHS values are
+lists (see core.make_rhs), and one step attempt is straight-line code,
+generated from the tableau for each state dimension, whose sums run left
+to right over the tableau's nonzero entries.  Results therefore agree with
+scipy.integrate.DOP853 to rounding, not bitwise.  It is driven manually so
+that we control the step budget, event localization and the coordinate
+switches of the regularized path.  Backward time is first class: pass
+t1 < t0.
 
-Event functions are evaluated on the state at the end of each accepted
-step.  Only a step over which one of them changes sign pays for the
-dense interpolant (three extra RHS stages); the root is polished on it with
-Brent's method, so event times are good to ~1e-12 relative.
+Event functions take (t, y), with y the flat state in JacobiState.as_vector
+layout, and are evaluated on the state at the end of each accepted step.
+A step keeps its stages only as a small packed block; the dense
+interpolant (three extra RHS stages) is built from it the first time a
+dense-output query or an event search reads the step.  The root of an
+event is polished on that interpolant with Brent's method, so event times
+are good to ~1e-12 relative, and a JacobiState is built only for an event
+that is found.
 
 Collisions of the inner binary can be crossed by switching the short Jacobi
 vector to Kustaanheimo-Stiefel variables with the time rescaling dt = r ds
@@ -21,8 +29,10 @@ stays in physical coordinates, evolved in the fictitious time alongside.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -76,14 +86,16 @@ class IntegrationSingularityError(RuntimeError):
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar event g(t, state) with a sign-change direction.
+    """Scalar event g(t, y) with a sign-change direction.
 
-    direction +1 fires on -> +, -1 on + -> -, 0 on both.  Terminal events
-    stop the integration at the root.
+    y is the flat state in JacobiState.as_vector layout, [xi1, xi2, dxi1,
+    dxi2]: a list of floats at step ends, a numpy array on the dense
+    output.  direction +1 fires on -> +, -1 on + -> -, 0 on both.  Terminal
+    events stop the integration at the root.
     """
 
     name: str
-    func: Callable[[float, JacobiState], float]
+    func: Callable[[float, Sequence[float]], float]
     direction: int = 0
     terminal: bool = False
     payload: dict = field(default_factory=dict)
@@ -101,7 +113,7 @@ def outer_pericenter_event() -> EventSpec:
     """d(rho)/dt changes sign - to +, i.e. xi2 . dxi2 crosses zero upward."""
     return EventSpec(
         name="outer_pericenter",
-        func=lambda t, st: float(st.xi2 @ st.dxi2),
+        func=lambda t, y: y[3] * y[9] + y[4] * y[10] + y[5] * y[11],
         direction=+1,
     )
 
@@ -109,19 +121,113 @@ def outer_pericenter_event() -> EventSpec:
 # ---------------------------------------------------------------------------
 # The stepper
 
-class DOP853:
-    """scipy.integrate.DOP853 without OdeSolver's per-call wrappers.
+_N = _dop.N_STAGES
+# The stages an accepted step keeps for its interpolant: K0 (= f at the
+# step start), K12 (= f at the step end) and every stage between them that
+# the extra stages or the interpolant weights read.  With the step-start
+# state they make the packed block of _LazyDop853.
+_KEPT = [j for j in range(_N + 1) if _dop.D[:, j].any() or _dop.A[_N + 1:, j].any()]
 
-    Scipy's tableau (Hairer, Norsett and Wanner) with scipy's operations in
-    scipy's order: the same np.dot operand layouts, error norm, step-size
-    control and initial step, so t, y, status and dense output are bitwise
-    equal to scipy's.  Scalars are Python floats; tolerances are scalars
-    with scipy's checks.  A step below ten float spacings of t sets status
-    "failed" and returns scipy's message.
+
+def _lincomb(coeffs, terms) -> str:
+    """Source of the sum of c * x over the nonzero c, left to right."""
+    return "(" + " + ".join(f"{float(c)!r} * {x}" for c, x in zip(coeffs, terms) if c != 0.0) + ")"
+
+
+def _names(s, n) -> str:
+    return ", ".join(f"k{s}_{i}" for i in range(n))
+
+
+def _stage(s, n, t0) -> List[str]:
+    """Lines evaluating stage s at time t0 + c_s h from the stages before
+    it, and unpacking it."""
+    args = ", ".join(
+        f"y_{i} + {_lincomb(_dop.A[s, :s], [f'k{j}_{i}' for j in range(s)])} * h" for i in range(n))
+    return [f"    k{s} = fun({t0} + {float(_dop.C[s])!r} * h, [{args}])",
+            f"    {_names(s, n)} = k{s}"]
+
+
+def _y_new(i) -> str:
+    return f"y_{i} + h * {_lincomb(_dop.B, [f'k{j}_{i}' for j in range(_N)])}"
+
+
+@functools.lru_cache(maxsize=None)
+def _attempt_for(n: int):
+    """One step attempt for states of dimension n, as straight-line code
+    over Python floats.
+
+    attempt(fun, t, y, f, h, atol, rtol) returns y_new, f_new, the sums of
+    squares of the scaled 5th- and 3rd-order error estimates, and the
+    stage lists K1..K11.
+    """
+    src = ["def attempt(fun, t, y, f, h, atol, rtol):",
+           f"    {', '.join(f'y_{i}' for i in range(n))} = y",
+           f"    {_names(0, n)} = f"]
+    for s in range(1, _N):
+        src += _stage(s, n, "t")
+    src += [f"    y_new = [{', '.join(_y_new(i) for i in range(n))}]",
+            "    f_new = fun(t + h, y_new)",
+            f"    {', '.join(f'n_{i}' for i in range(n))} = y_new",
+            "    s5 = s3 = 0.0"]
+    for i in range(n):
+        ks = [f"k{j}_{i}" for j in range(_N + 1)]
+        src += [f"    a = abs(y_{i})",
+                f"    b = abs(n_{i})",
+                "    sc = atol + (a if a > b else b) * rtol",
+                f"    e = {_lincomb(_dop.E5, ks)} / sc",
+                "    s5 += e * e",
+                f"    e = {_lincomb(_dop.E3, ks)} / sc",
+                "    s3 += e * e"]
+    src += [f"    return y_new, f_new, s5, s3, ({', '.join(f'k{s}' for s in range(1, _N))})"]
+    return _compiled("attempt", src, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _build_for(n: int):
+    """build(fun, t_old, t, block) for states of dimension n: evaluates the
+    three extra stages on the packed block [y_old, K0, K5..K12] and returns
+    scipy's Dop853DenseOutput for the step.  Its y_new is the attempt's,
+    bit for bit."""
+    ys = ", ".join(f"y_{i}" for i in range(n))
+    src = ["def build(fun, t_old, t, block):",
+           f"    {ys}, {', '.join(_names(j, n) for j in _KEPT)} = block",
+           "    h = t - t_old"]
+    for s in range(_N + 1, _dop.N_STAGES_EXTENDED):
+        src += _stage(s, n, "t_old")
+    F = []
+    for i in range(n):
+        ks = [f"k{j}_{i}" for j in range(_dop.N_STAGES_EXTENDED)]
+        src += [f"    d_{i} = {_y_new(i)} - y_{i}"]
+        F.append([f"d_{i}", f"h * k0_{i} - d_{i}", f"2 * d_{i} - h * (k{_N}_{i} + k0_{i})"]
+                 + [f"h * {_lincomb(row, ks)}" for row in _dop.D])
+    rows = ", ".join("[" + ", ".join(F[i][r] for i in range(n)) + "]"
+                     for r in range(_dop.INTERPOLATOR_POWER))
+    src += [f"    return Dop853DenseOutput(t_old, t, np.array([{ys}]), np.array([{rows}]))"]
+    return _compiled("build", src, n)
+
+
+def _compiled(name, src, n):
+    namespace = {"Dop853DenseOutput": Dop853DenseOutput, "np": np}
+    exec(compile("\n".join(src), f"<DOP853 {name} n={n}>", "exec"), namespace)
+    return namespace[name]
+
+
+class DOP853:
+    """DOP853 on Python floats, without OdeSolver's per-call wrappers.
+
+    Scipy's tableau (Hairer, Norsett and Wanner), error norm, step-size
+    control and initial step, with the arithmetic of one attempt unrolled
+    over lists of floats (see _attempt_for), so t, y and status agree with
+    scipy.integrate.DOP853 to rounding.  fun(t, y) takes and returns lists;
+    self.y and self.f are lists.  Tolerances are scalars with scipy's
+    checks.  A step below ten float spacings of t sets status "failed" and
+    returns scipy's message.
+
+    dense_output() packs the last step's stages into a _LazyDop853, which
+    evaluates the three extra stages (through fun) on its first call.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-    _N = _dop.N_STAGES
     _EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 
     def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6):
@@ -135,42 +241,37 @@ class DOP853:
             rtol = eps100
         if atol < 0:
             raise ValueError("`atol` must be positive.")
-        self.fun, self.rtol, self.atol = fun, rtol, atol
-        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.fun, self.rtol, self.atol = fun, float(rtol), float(atol)
+        self.t, self.y, self.t_bound = t0, y0.tolist(), t_bound
         self.t_old = self.y_old = self.h_previous = None
         self.direction = 1.0 if t_bound >= t0 else -1.0
         self.status = "running"
-        self.n = n = y0.size
-        K = self._K = np.empty((_dop.N_STAGES_EXTENDED, n))
-        A, C, N = _dop.A, _dop.C.tolist(), self._N
-        # per-stage views K[:s].T, as scipy's rk_step slices them each call
-        self._stages = [(s, K[:s].T, A[s, :s], C[s]) for s in range(1, N)]
-        self._extra = [(s, K[:s].T, A[s, :s], C[s]) for s in range(N + 1, len(C))]
-        self._KT_b = K[:N].T
-        self._KT_e = K[:N + 1].T
-        self.f = fun(t0, y0)
+        self.n = y0.size
+        self._attempt = _attempt_for(self.n)
+        self._f_old = self._stages = None
+        self.f = fun(t0, self.y)
         self.h_abs = self._initial_step()
 
     def _norm(self, x) -> float:
-        return math.sqrt(x.dot(x)) / self.n ** 0.5
+        return math.sqrt(sum(v * v for v in x)) / self.n ** 0.5
 
     def _initial_step(self) -> float:
         t0, y0, f0, direction = self.t, self.y, self.f, self.direction
         interval_length = abs(self.t_bound - t0)
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0 = self._norm(y0 / scale)
-        d1 = self._norm(f0 / scale)
+        scale = [self.atol + abs(v) * self.rtol for v in y0]
+        d0 = self._norm(v / s for v, s in zip(y0, scale))
+        d1 = self._norm(v / s for v, s in zip(f0, scale))
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0 * direction, y0 + h0 * direction * f0)
-        d2 = self._norm((f1 - f0) / scale) / h0
+        f1 = self.fun(t0 + h0 * direction, [v + h0 * direction * g for v, g in zip(y0, f0)])
+        d2 = self._norm((a - b) / s for a, b, s in zip(f1, f0, scale)) / h0
         h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
               else (0.01 / max(d1, d2)) ** (1 / 8))
         return min(100 * h0, h1, interval_length)
 
     def step(self):
         """Advance one accepted step; returns None, or the failure message."""
-        fun, K = self.fun, self._K
+        attempt, fun, atol, rtol, n = self._attempt, self.fun, self.atol, self.rtol, self.n
         t, y, f, direction, t_bound = self.t, self.y, self.f, self.direction, self.t_bound
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -184,62 +285,66 @@ class DOP853:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for s, KT, a, c in self._stages:
-                K[s] = fun(t + c * h, y + np.dot(KT, a) * h)
-            y_new = y + h * np.dot(self._KT_b, _dop.B)
-            f_new = fun(t + h, y_new)
-            K[self._N] = f_new
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            err5 = np.dot(self._KT_e, _dop.E5) / scale
-            err3 = np.dot(self._KT_e, _dop.E3) / scale
-            e5 = math.sqrt(err5.dot(err5)) ** 2
-            e3 = math.sqrt(err3.dot(err3)) ** 2
-            error_norm = (0.0 if e5 == 0 and e3 == 0
-                          else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * self.n))
+            y_new, f_new, e5, e3, stages = attempt(fun, t, y, f, h, atol, rtol)
+            error_norm = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** self._EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** self._EXPONENT)
             rejected = True
-        self.h_previous, self.t_old, self.y_old = h, t, y
+        self.h_previous, self.t_old, self.y_old, self._f_old, self._stages = h, t, y, f, stages
         self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
         if direction * (t_new - t_bound) >= 0:
             self.status = "finished"
         return None
 
-    def dense_output(self) -> Dop853DenseOutput:
-        """The 7th-order interpolant over the last step (3 extra stages)."""
-        K, h, t_old, y_old = self._K, self.h_previous, self.t_old, self.y_old
-        for s, KT, a, c in self._extra:
-            K[s] = self.fun(t_old + c * h, y_old + np.dot(KT, a) * h)
-        F = np.empty((_dop.INTERPOLATOR_POWER, self.n))
-        f_old = K[0]
-        delta_y = self.y - y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(_dop.D, K)
-        return Dop853DenseOutput(t_old, self.t, y_old, F)
+    def dense_output(self) -> "_LazyDop853":
+        """The 7th-order interpolant over the last step, built on first call."""
+        block = self.y_old + self._f_old
+        for j in _KEPT[1:-1]:
+            block += self._stages[j - 1]
+        block += self.f
+        return _LazyDop853(_build_for(self.n), self.fun, self.t_old, self.t, array("d", block))
+
+
+class _LazyDop853:
+    """scipy's Dop853DenseOutput for one step, built on its first call.
+
+    Until then it holds only the step's packed float64 block [y_old, K0,
+    K5..K12] (10 rows); the build evaluates the three extra stages through
+    the solver's fun, then drops the block.  It is also the dense segment
+    of a physical-coordinate step (t_lo, t_hi, state_vector).
+    """
+
+    __slots__ = ("_build", "_fun", "t_old", "t", "_block", "_interp")
+
+    def __init__(self, build, fun, t_old, t, block):
+        self._build, self._fun, self.t_old, self.t = build, fun, t_old, t
+        self._block, self._interp = block, None
+
+    @property
+    def t_min(self) -> float:
+        return min(self.t_old, self.t)
+
+    @property
+    def t_max(self) -> float:
+        return max(self.t_old, self.t)
+
+    t_lo, t_hi = t_min, t_max
+
+    def __call__(self, t) -> np.ndarray:
+        interp = self._interp
+        if interp is None:
+            interp = self._interp = self._build(self._fun, self.t_old, self.t, self._block)
+            self._block = None
+        return interp(t)
+
+    state_vector = __call__
 
 
 # ---------------------------------------------------------------------------
 # Dense output across segments (physical and regularized)
-
-class _CartSegment:
-    """One accepted step of the physical-coordinate solver."""
-
-    __slots__ = ("t_lo", "t_hi", "interp")
-
-    def __init__(self, interp):
-        self.interp = interp
-        self.t_lo = min(interp.t_min, interp.t_max)
-        self.t_hi = max(interp.t_min, interp.t_max)
-
-    def state_vector(self, t: float) -> np.ndarray:
-        return self.interp(t)
-
 
 class _KSSegment:
     """One accepted step of the regularized solver, indexed by physical time.
@@ -258,8 +363,7 @@ class _KSSegment:
         self.t_hi = max(t_lo, t_hi)
 
     def state_vector(self, t: float) -> np.ndarray:
-        z = self.interp(self._s_of_t(t))
-        return _ks_to_cart_vector(z)
+        return np.array(_ks_to_cart(self.interp(self._s_of_t(t)).tolist()))
 
     def _s_of_t(self, t: float) -> float:
         f = lambda s: self.interp(s)[_KS_T] - t
@@ -278,9 +382,8 @@ class DenseSolution:
     """Piecewise dense output over monotone (increasing or decreasing) time."""
 
     def __init__(self, segments: Sequence):
-        self.segments = list(segments)
         # lookup table sorted ascending in time regardless of travel direction
-        self._ordered = sorted(self.segments, key=lambda s: s.t_lo)
+        self._ordered = sorted(segments, key=lambda s: s.t_lo)
         self._starts = [seg.t_lo for seg in self._ordered]
 
     def __call__(self, t: float) -> np.ndarray:
@@ -410,17 +513,14 @@ def _norms(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Events at step ends, localized on the step's dense segment
 
-def _state_on(seg, t: float) -> JacobiState:
-    return JacobiState.from_vector(seg.state_vector(t))
-
-
-def _sign_changes(specs, ev_vals, t_now, state_now) -> List[int]:
-    """Indices of the events whose value at the step end has changed sign,
-    in their direction, since the previous step end; updates ev_vals."""
+def _sign_changes(specs, ev_vals, t_now, y_now) -> List[int]:
+    """Indices of the events whose value at the step end (flat state y_now)
+    has changed sign, in their direction, since the previous step end;
+    updates ev_vals."""
     crossed = []
     for k, spec in enumerate(specs):
         g_prev = ev_vals[k]
-        g_now = spec.func(t_now, state_now)
+        g_now = spec.func(t_now, y_now)
         ev_vals[k] = g_now
         if g_prev == g_now or not ((g_prev < 0.0 <= g_now) or (g_prev > 0.0 >= g_now)):
             continue
@@ -434,7 +534,7 @@ def _sign_changes(specs, ev_vals, t_now, state_now) -> List[int]:
 def _locate_events(specs, crossed, t_prev, t_now, seg, state_now, events_out) -> Optional[Event]:
     """Polish each crossed event's root on the step's dense segment and
     append it to events_out; return the earliest terminal event (in travel
-    order) or None."""
+    order) or None.  state_now is the step-end JacobiState."""
     stop = None
     sgn = 1.0 if t_now >= t_prev else -1.0
     lo, hi = (t_prev, t_now) if t_prev <= t_now else (t_now, t_prev)
@@ -442,7 +542,7 @@ def _locate_events(specs, crossed, t_prev, t_now, seg, state_now, events_out) ->
         spec = specs[k]
 
         def gfun(t):
-            return spec.func(t, _state_on(seg, t))
+            return spec.func(t, seg.state_vector(t))
 
         g_lo, g_hi = gfun(lo), gfun(hi)
         if g_lo == 0.0:
@@ -458,7 +558,8 @@ def _locate_events(specs, crossed, t_prev, t_now, seg, state_now, events_out) ->
         if root is None:
             ev = Event(t=t_now, kind=spec.name, payload=dict(spec.payload), state=state_now)
         else:
-            ev = Event(t=root, kind=spec.name, payload=dict(spec.payload), state=_state_on(seg, root))
+            ev = Event(t=root, kind=spec.name, payload=dict(spec.payload),
+                       state=JacobiState.from_vector(seg.state_vector(root)))
         events_out.append(ev)
         if spec.terminal and (stop is None or sgn * ev.t < sgn * stop.t):
             stop = ev
@@ -506,14 +607,14 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
 
     rhs = make_rhs(mp, kepler_only=kepler_only)
     specs = list(events)
-    ts = [t0]
-    ys = [initial.as_vector()]
+    y_now = initial.as_vector().tolist()
+    ts = array("d", [t0])
+    ys = array("d", y_now)
     segments: list = []
     out_events: List[Event] = []
     n_steps = 0
-    state = initial
     t_now = t0
-    mode = "ks" if r_switch is not None and state.r < r_switch else "cart"
+    mode = "ks" if r_switch is not None and initial.r < r_switch else "cart"
 
     while True:
         if n_steps >= max_steps:
@@ -521,11 +622,11 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
             break
         if mode == "cart":
             res = _run_cart_phase(
-                rhs, state, t_now, t1, rtol, atol, specs, max_steps - n_steps, dense, r_switch,
+                rhs, y_now, t_now, t1, rtol, atol, specs, max_steps - n_steps, dense, r_switch,
             )
         else:
             res = _run_ks_phase(
-                mp, state, t_now, t1, rtol, atol, specs, max_steps - n_steps, dense,
+                mp, y_now, t_now, t1, rtol, atol, specs, max_steps - n_steps, dense,
                 KS_EXIT_FACTOR * r_switch, r_switch, kepler_only, 1.0 if t1 > t0 else -1.0,
             )
         ts.extend(res.ts)
@@ -536,14 +637,14 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
         if res.status != "switch":
             status = res.status
             break
-        state = res.exit_state
+        y_now = res.exit_y
         t_now = res.exit_t
         mode = res.next_mode
 
     return Trajectory(
         mp=mp,
-        t=np.array(ts),
-        y=np.array(ys),
+        t=np.frombuffer(ts),
+        y=np.frombuffer(ys).reshape(len(ts), -1),
         dense=DenseSolution(segments) if dense else None,
         events=out_events,
         complete=status in ("completed", "event"),
@@ -556,36 +657,38 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
 
 @dataclass
 class _PhaseResult:
-    ts: list
-    ys: list
+    ts: array            # node times
+    ys: array            # node states, flat, row after row
     segments: list
     events: list
     n_steps: int
     status: str          # "completed" | "event" | "step_budget_exhausted" | "switch"
     next_mode: str       # "cart" | "ks" (meaningful when status == "switch")
-    exit_state: Optional[JacobiState] = None
+    exit_y: Optional[list] = None
     exit_t: Optional[float] = None
 
 
 _KS_ENTER = "_ks_enter"
 
 
-def _run_cart_phase(rhs, state, t_start, t1, rtol, atol, specs, budget, dense,
+def _run_cart_phase(rhs, y_start, t_start, t1, rtol, atol, specs, budget, dense,
                     r_switch) -> _PhaseResult:
-    """Physical-coordinate steps from (t_start, state) toward t1.
+    """Physical-coordinate steps from (t_start, y_start) toward t1.
 
-    Events are tested on each step-end state; the step's interpolant is
-    built only when ``dense`` is set or some event changes sign over the
+    Events are tested on each step-end state; the step's lazy interpolant
+    is made only when ``dense`` is set or some event changes sign over the
     step, and kept only when ``dense`` is set.  With r_switch, a terminal
     guard at r = r_switch ends the phase with status "switch".
     """
-    solver = DOP853(rhs, t_start, state.as_vector(), t1, rtol=rtol, atol=atol)
+    solver = DOP853(rhs, t_start, y_start, t1, rtol=rtol, atol=atol)
     if r_switch is not None:
-        guard = EventSpec(name=_KS_ENTER, func=lambda t, st: st.r - r_switch,
+        guard = EventSpec(name=_KS_ENTER,
+                          func=lambda t, y: math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) - r_switch,
                           direction=-1, terminal=True)
         specs = specs + [guard]
-    ev_vals = [sp.func(t_start, state) for sp in specs]
-    ts, ys, segments, events = [], [], [], []
+    y_prev = solver.y
+    ev_vals = [sp.func(t_start, y_prev) for sp in specs]
+    ts, ys, segments, events = array("d"), array("d"), [], []
     sgn = 1.0 if t1 > t_start else -1.0
     t_prev = t_start
     n_steps = 0
@@ -594,32 +697,33 @@ def _run_cart_phase(rhs, state, t_start, t1, rtol, atol, specs, budget, dense,
             return _PhaseResult(ts, ys, segments, events, n_steps, "step_budget_exhausted", "cart")
         msg = solver.step()
         if solver.status == "failed":
-            last = JacobiState.from_vector(ys[-1] if ys else state.as_vector())
-            raise IntegrationSingularityError(f"integrator failed: {msg}", t=t_prev, state=last)
+            raise IntegrationSingularityError(f"integrator failed: {msg}", t=t_prev,
+                                              state=JacobiState.from_vector(y_prev))
         n_steps += 1
         t_now = solver.t
         y_now = solver.y
-        state_now = JacobiState.from_vector(y_now) if specs else None
-        crossed = _sign_changes(specs, ev_vals, t_now, state_now)
-        seg = _CartSegment(solver.dense_output()) if dense or crossed else None
+        crossed = _sign_changes(specs, ev_vals, t_now, y_now)
+        seg = solver.dense_output() if dense or crossed else None
         if dense:
             segments.append(seg)
         if crossed:
             found: List[Event] = []
-            stop = _locate_events(specs, crossed, t_prev, t_now, seg, state_now, found)
+            stop = _locate_events(specs, crossed, t_prev, t_now, seg,
+                                  JacobiState.from_vector(y_now), found)
             if stop is not None:
                 events.extend(ev for ev in found
                               if ev.kind != _KS_ENTER and sgn * ev.t <= sgn * stop.t)
+                y_stop = stop.state.as_vector().tolist()
                 ts.append(stop.t)
-                ys.append(stop.state.as_vector())
+                ys.extend(y_stop)
                 if stop.kind == _KS_ENTER:
                     return _PhaseResult(ts, ys, segments, events, n_steps, "switch", "ks",
-                                        stop.state, stop.t)
+                                        y_stop, stop.t)
                 return _PhaseResult(ts, ys, segments, events, n_steps, "event", "cart")
             events.extend(found)
         ts.append(t_now)
-        ys.append(y_now)
-        t_prev = t_now
+        ys.extend(y_now)
+        t_prev, y_prev = t_now, y_now
     return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "cart")
 
 
@@ -745,39 +849,52 @@ def _ks_matrix(u: np.ndarray) -> np.ndarray:
     )
 
 
-def _ks_from_cart(xi1: np.ndarray, dxi1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    x, y, z = xi1
-    r = float(np.linalg.norm(xi1))
-    u = np.empty(4)
+def _ks_from_cart(y, mp: MassParams, t: float) -> list:
+    """The 16-dim KS state [u, u', h1, t, xi2, dxi2] of the flat Jacobi
+    state y at physical time t, on Python floats."""
+    x, y1, z, x2, y2, z2, vx, vy, vz, vx2, vy2, vz2 = y
+    r = math.sqrt(x * x + y1 * y1 + z * z)
     if x >= 0.0:
-        u[0] = math.sqrt(0.5 * (r + x))
-        u[3] = 0.0
-        u[1] = 0.5 * y / u[0]
-        u[2] = 0.5 * z / u[0]
+        u1 = math.sqrt(0.5 * (r + x))
+        u2, u3, u4 = 0.5 * y1 / u1, 0.5 * z / u1, 0.0
     else:
-        u[1] = math.sqrt(0.5 * (r - x))
-        u[2] = 0.0
-        u[0] = 0.5 * y / u[1]
-        u[3] = 0.5 * z / u[1]
-    up = 0.5 * (_ks_matrix(u).T @ dxi1)
-    return u, up
+        u2 = math.sqrt(0.5 * (r - x))
+        u1, u3, u4 = 0.5 * y1 / u2, 0.0, 0.5 * z / u2
+    # u' = L(u)^T dxi1 / 2, with L the KS matrix (_ks_matrix)
+    up = [0.5 * (u1 * vx + u2 * vy + u3 * vz),
+          0.5 * (-u2 * vx + u1 * vy + u4 * vz),
+          0.5 * (-u3 * vx - u4 * vy + u1 * vz),
+          0.5 * (u4 * vx - u3 * vy + u2 * vz)]
+    h1 = 0.5 * (vx * vx + vy * vy + vz * vz) - mp.mu / r
+    return [u1, u2, u3, u4] + up + [h1, t, x2, y2, z2, vx2, vy2, vz2]
 
 
-def _ks_to_cart_vector(z: np.ndarray) -> np.ndarray:
-    """Map the 16-dim KS state to the flat 12-dim Jacobi vector."""
-    u = z[0:4]
-    up = z[4:8]
-    r = float(u @ u)
-    L = _ks_matrix(u)
-    xi1 = L @ u
-    dxi1 = (2.0 / r) * (L @ up) if r > 0.0 else np.zeros(3)
-    return np.concatenate([xi1, z[10:13], dxi1, z[13:16]])
+def _ks_to_cart(z) -> list:
+    """Map the 16-dim KS state to the flat 12-dim Jacobi state, on Python
+    floats: xi1 = L(u) u and dxi1 = (2 / r) L(u) u'."""
+    u1, u2, u3, u4, p1, p2, p3, p4, _, _, x2, y2, z2, vx2, vy2, vz2 = z
+    r = u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
+    c = 2.0 / r if r > 0.0 else 0.0
+    return [
+        u1 * u1 - u2 * u2 - u3 * u3 + u4 * u4, 2.0 * (u1 * u2 - u3 * u4), 2.0 * (u1 * u3 + u2 * u4),
+        x2, y2, z2,
+        c * (u1 * p1 - u2 * p2 - u3 * p3 + u4 * p4),
+        c * (u2 * p1 + u1 * p2 - u4 * p3 - u3 * p4),
+        c * (u3 * p1 + u4 * p2 + u1 * p3 + u2 * p4),
+        vx2, vy2, vz2,
+    ]
+
+
+def _ks_radial_rate(z, direction: float) -> float:
+    """direction * u.u', whose sign is that of dr along the travel."""
+    return direction * (z[0] * z[4] + z[1] * z[5] + z[2] * z[6] + z[3] * z[7])
 
 
 def _make_ks_rhs(mp: MassParams, kepler_only: bool, direction: float):
     """Fictitious-time field: d/ds = direction * r * d/dt plus the oscillator
-    form of the inner equation.  Regular at r = 0.  Python floats, with the
-    coupling from core's kernel."""
+    form of the inner equation.  Regular at r = 0.  Takes and returns lists
+    of Python floats, like core.make_rhs, with the coupling from core's
+    kernel."""
     M = mp.M
     a1, a2 = mp.alpha1, mp.alpha2
     coupling = _coupling_kernel(mp, kepler_only)
@@ -800,7 +917,7 @@ def _make_ks_rhs(mp: MassParams, kepler_only: bool, direction: float):
         lp = ((u1 * p1 - u2 * p2 - u3 * p3 + u4 * p4) * Px
               + (u2 * p1 + u1 * p2 - u4 * p3 - u3 * p4) * Py
               + (u3 * p1 + u4 * p2 + u1 * p3 + u2 * p4) * Pz)
-        return np.array([
+        return [
             d * p1, d * p2, d * p3, d * p4,
             # 0.5 h1 u + 0.5 r L(u)^T P
             d * (hh * u1 + hr * (u1 * Px + u2 * Py + u3 * Pz)),
@@ -810,7 +927,7 @@ def _make_ks_rhs(mp: MassParams, kepler_only: bool, direction: float):
             d * 2.0 * lp,
             dr, dr * vx, dr * vy, dr * vz,
             dr * (c2 * x2 - g2x / a2), dr * (c2 * y2 - g2y / a2), dr * (c2 * z2 - g2z / a2),
-        ])
+        ]
 
     return _float_rhs(field)
 
@@ -841,25 +958,28 @@ def integrate_regularized(
                       regularize=True, r_switch=r_switch)
 
 
-def _run_ks_phase(mp, state, t_start, t1, rtol, atol, specs, budget, dense,
+def _run_ks_phase(mp, y_start, t_start, t1, rtol, atol, specs, budget, dense,
                   r_exit, r_switch, kepler_only, direction):
     """Regularized phase: integrate in fictitious time until r climbs back
-    through r_exit, the physical time bound is hit, or budgets run out."""
-    u, up = _ks_from_cart(state.xi1, state.dxi1)
-    h1 = 0.5 * float(state.dxi1 @ state.dxi1) - mp.mu / state.r
-    z0 = np.concatenate([u, up, [h1, t_start], state.xi2, state.dxi2])
+    through r_exit, the physical time bound is hit, or budgets run out.
+
+    A step's lazy interpolant is made only when ``dense`` is set or the
+    step brackets something to locate on it: a radial minimum, an event or
+    the physical time bound.
+    """
+    z0 = _ks_from_cart(y_start, mp, t_start)
     rhs = _make_ks_rhs(mp, kepler_only, direction)
     # fictitious-time horizon: ds ~ dt/r, be generous and let events stop us
     s_max = abs(t1 - t_start) / max(r_switch * 1e-6, 1e-12) + 10.0
     solver = DOP853(rhs, 0.0, z0, s_max, rtol=rtol, atol=atol)
 
-    ts, ys, segments, events = [], [], [], []
-    ev_vals = [sp.func(t_start, state) for sp in specs]
+    ts, ys, segments, events = array("d"), array("d"), [], []
+    ev_vals = [sp.func(t_start, y_start) for sp in specs]
     sgn = direction
     stint_t0 = t_start
     collision_roots = []  # physical times of radial minima at ~zero radius
     n_steps = 0
-    prev_z = z0
+    prev_z = solver.y
     prev_s = 0.0
     while solver.status == "running":
         if n_steps >= budget:
@@ -868,60 +988,60 @@ def _run_ks_phase(mp, state, t_start, t1, rtol, atol, specs, budget, dense,
                                 "step_budget_exhausted", "ks")
         msg = solver.step()
         if solver.status == "failed":
-            last = JacobiState.from_vector(_ks_to_cart_vector(prev_z))
+            last = JacobiState.from_vector(_ks_to_cart(prev_z))
             raise IntegrationSingularityError(
                 f"regularized integrator failed: {msg}", t=prev_z[_KS_T], state=last
             )
         n_steps += 1
-        interp = solver.dense_output()
+        z = solver.y
         t_prev = prev_z[_KS_T]
-        t_now = solver.y[_KS_T]
-        seg = _KSSegment(interp, t_prev, t_now)
+        t_now = z[_KS_T]
+        y_now = _ks_to_cart(z)
+        # radial minima: dr/d(travel) crossing - -> +; collision when r at
+        # the minimum is ~ 0
+        minimum = _ks_radial_rate(prev_z, direction) < 0.0 <= _ks_radial_rate(z, direction)
+        crossed = _sign_changes(specs, ev_vals, t_now, y_now)
+        passed_bound = (direction > 0 and t_now >= t1) or (direction < 0 and t_now <= t1)
+        seg = None
+        if dense or minimum or crossed or passed_bound:
+            seg = _KSSegment(solver.dense_output(), t_prev, t_now)
         if dense:
             segments.append(seg)
 
-        # radial minima: dr/d(travel) crossing - -> +, i.e. direction * u.u'
-        # changing sign upward; collision when r at the minimum is ~ 0
-        f_prev = direction * float(prev_z[0:4] @ prev_z[4:8])
-        f_now = direction * float(solver.y[0:4] @ solver.y[4:8])
-        if f_prev < 0.0 <= f_now:
-            sfun = lambda s: direction * float(interp(s)[0:4] @ interp(s)[4:8])
-            s_root = brentq(sfun, prev_s, solver.t, xtol=1e-15, maxiter=200)
-            z_root = interp(s_root)
-            r_here = float(z_root[0:4] @ z_root[0:4])
-            if r_here <= KS_COLLISION_FRACTION * r_switch:
-                st_col = JacobiState.from_vector(_ks_to_cart_vector(z_root))
-                collision_roots.append((float(z_root[_KS_T]), st_col))
+        if minimum:
+            interp = seg.interp
+            s_root = brentq(lambda s: _ks_radial_rate(interp(s), direction), prev_s, solver.t,
+                            xtol=1e-15, maxiter=200)
+            z_root = interp(s_root).tolist()
+            if sum(v * v for v in z_root[0:4]) <= KS_COLLISION_FRACTION * r_switch:
+                st_col = JacobiState.from_vector(_ks_to_cart(z_root))
+                collision_roots.append((z_root[_KS_T], st_col))
 
-        y_now = _ks_to_cart_vector(solver.y)
-        state_now = JacobiState.from_vector(y_now)
         local_events: List[Event] = []
-        crossed = _sign_changes(specs, ev_vals, t_now, state_now)
-        stop = _locate_events(specs, crossed, t_prev, t_now, seg, state_now, local_events)
-
-        # physical time bound
-        passed_bound = (direction > 0 and t_now >= t1) or (direction < 0 and t_now <= t1)
-        exit_r = float(solver.y[0:4] @ solver.y[0:4])
+        stop = None
+        if crossed:
+            stop = _locate_events(specs, crossed, t_prev, t_now, seg,
+                                  JacobiState.from_vector(y_now), local_events)
         if stop is not None:
             events.extend(ev for ev in local_events if sgn * ev.t <= sgn * stop.t)
             ts.append(stop.t)
-            ys.append(stop.state.as_vector())
+            ys.extend(stop.state.as_vector().tolist())
             _log_collisions(events, collision_roots, stint_t0, stop.t)
             return _PhaseResult(ts, ys, segments, events, n_steps, "event", "ks")
         if passed_bound:
             events.extend(ev for ev in local_events if sgn * ev.t <= sgn * t1)
             ts.append(t1)
-            ys.append(seg.state_vector(t1))
+            ys.extend(seg.state_vector(t1).tolist())
             _log_collisions(events, collision_roots, stint_t0, t1)
             return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "ks")
         events.extend(local_events)
         ts.append(t_now)
-        ys.append(y_now)
-        if exit_r >= r_exit:
+        ys.extend(y_now)
+        if z[0] * z[0] + z[1] * z[1] + z[2] * z[2] + z[3] * z[3] >= r_exit:
             _log_collisions(events, collision_roots, stint_t0, t_now)
             return _PhaseResult(ts, ys, segments, events, n_steps, "switch", "cart",
-                                state_now, t_now)
-        prev_z = solver.y
+                                y_now, t_now)
+        prev_z = z
         prev_s = solver.t
     return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "ks")
 

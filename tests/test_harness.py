@@ -53,6 +53,17 @@ class TestSampler:
             assert cfg.ranges.i_lo_factor * appendix_chain.R <= I
             assert I <= cfg.ranges.i_hi_factor * appendix_chain.R * (1 + 1e-12)
 
+    @pytest.mark.parametrize("level", ["R", "3R_bar"])
+    def test_theorem_samples_hit_the_levels(self, appendix_chain, level):
+        # the report's dH and dJ, as the benchmark checks them, at the level
+        # where entry is integrated and at one where it is certified
+        bs = appendix_chain
+        cfg = appendix_cfg(count=8, seed=1, level=bs.R if level == "R" else 3.0 * bs.R_bar)
+        rep = run_theorem_experiment(cfg, bs=bs)
+        assert len(rep.samples) == 8
+        for s in rep.samples:
+            assert s["dH"] <= 1e-12 and s["dJ"] <= 1e-12
+
     def test_deterministic(self, appendix_chain):
         cfg = appendix_cfg(count=6, level=appendix_chain.R)
         a = sample_initial_conditions(cfg, appendix_chain)
