@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import MassParams
+from .roots import brentq
 
 __all__ = [
     "NoSplittingError",

@@ -140,11 +140,6 @@ class CartesianState:
     def velocities(self) -> np.ndarray:
         return np.stack([self.v1, self.v2, self.v3])
 
-    def collision_degenerate(self, tol: float = 0.0) -> bool:
-        """True when any two bodies sit closer than ``tol``."""
-        pairs = ((self.q1, self.q2), (self.q1, self.q3), (self.q2, self.q3))
-        return any(np.linalg.norm(a - b) <= tol for a, b in pairs)
-
 
 @dataclass(frozen=True)
 class JacobiState:
@@ -394,13 +389,14 @@ def make_rhs(mp: MassParams, kepler_only: bool = False):
 
 
 def _float_rhs(field):
-    """rhs(t, y) = field(y).  A zero distance, where Python floats raise, is
-    evaluated on numpy scalars instead, which give inf or nan."""
+    """rhs(t, y) = field(y).  A zero distance or an overflow, where Python
+    floats raise, is evaluated on numpy scalars instead, which give inf or
+    nan."""
 
     def rhs(t, y):
         try:
             return field(y)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             return field(np.asarray(y, dtype=float))
 
     return rhs

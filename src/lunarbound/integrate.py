@@ -1,12 +1,13 @@
 """High-accuracy integration of the coupled system with events.
 
 The stepper is DOP853 (8th order with embedded error control and a
-7th-order dense interpolant), an in-repo driver on scipy's own tableau.
-Its hot path runs on Python floats end to end: states and RHS values are
-lists (see core.make_rhs), and one step attempt is straight-line code,
-generated from the tableau for each state dimension, whose sums run left
-to right over the tableau's nonzero entries.  Results therefore agree with
-scipy.integrate.DOP853 to rounding, not bitwise.  It is driven manually so
+7th-order dense interpolant), an in-repo driver on the tableau vendored
+below from Hairer, Norsett and Wanner.  Its hot path runs on Python floats
+end to end: states and RHS values are lists (see core.make_rhs), and one
+step attempt is straight-line code, generated from the tableau for each
+state dimension, whose sums run left to right over the tableau's nonzero
+entries.  Results therefore agree with scipy.integrate.DOP853 to rounding,
+not bitwise.  It is driven manually so
 that we control the step budget, event localization and the coordinate
 switches of the regularized path.  Backward time is first class: pass
 t1 < t0.
@@ -38,20 +39,20 @@ from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.optimize import brentq
 
 from .core import (
     JacobiState, MassParams, _coupling_kernel, _float_rhs, angular_momentum, energy_split, make_rhs,
     moment_of_inertia,
 )
+from .roots import brentq
 
 __all__ = [
     "IntegrationSingularityError",
     "EventSpec",
     "Event",
     "Trajectory",
+    "DenseRun",
+    "solve_dense",
     "integrate",
     "integrate_regularized",
     "detect_I_crossing",
@@ -119,14 +120,132 @@ def outer_pericenter_event() -> EventSpec:
 
 
 # ---------------------------------------------------------------------------
+# The DOP853 tableau
+
+# The coefficients of DOP853 as Hairer and Wanner's Fortran code dop853.f
+# gives them (E. Hairer, S. P. Norsett and G. Wanner, Solving Ordinary
+# Differential Equations I: Nonstiff Problems, 2nd ed., Springer 1993):
+# nodes C and stage coefficients A, whose rows 13-15 are the three extra
+# stages of the dense output; weights B; the 5th- and 3rd-order error
+# weights E5 and E3; and the rows D of the 7th-order interpolant beyond the
+# three that come from the step itself (see _build_for).
+N_STAGES = 12
+N_STAGES_EXTENDED = 16
+INTERPOLATOR_POWER = 7
+
+
+def _dense(width, rows) -> np.ndarray:
+    """The matrix of the sparse rows ({column: value}), zero elsewhere."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[i, j] = v
+    return out
+
+
+C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
+    1.0, 0.1, 0.2, 0.777777777777777777777777777778,
+])
+A = _dense(N_STAGES_EXTENDED, [
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1, 4: 6.02165389804559606850219397283e-2,
+     5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+])
+E5 = _dense(N_STAGES + 1, [
+    {0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+     6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+     8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+     10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1},
+])[0]
+D = _dense(N_STAGES_EXTENDED, [
+    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
+])
+
+B = A[N_STAGES, :N_STAGES]
+E3 = np.append(B, 0.0)
+E3[0] -= 0.244094488188976377952755905512
+E3[8] -= 0.733846688281611857341361741547
+E3[11] -= 0.220588235294117647058823529412e-1
+
+
+# ---------------------------------------------------------------------------
 # The stepper
 
-_N = _dop.N_STAGES
+_N = N_STAGES
 # The stages an accepted step keeps for its interpolant: K0 (= f at the
 # step start), K12 (= f at the step end) and every stage between them that
 # the extra stages or the interpolant weights read.  With the step-start
 # state they make the packed block of _LazyDop853.
-_KEPT = [j for j in range(_N + 1) if _dop.D[:, j].any() or _dop.A[_N + 1:, j].any()]
+_KEPT = [j for j in range(_N + 1) if D[:, j].any() or A[_N + 1:, j].any()]
 
 
 def _lincomb(coeffs, terms) -> str:
@@ -142,13 +261,13 @@ def _stage(s, n, t0) -> List[str]:
     """Lines evaluating stage s at time t0 + c_s h from the stages before
     it, and unpacking it."""
     args = ", ".join(
-        f"y_{i} + {_lincomb(_dop.A[s, :s], [f'k{j}_{i}' for j in range(s)])} * h" for i in range(n))
-    return [f"    k{s} = fun({t0} + {float(_dop.C[s])!r} * h, [{args}])",
+        f"y_{i} + {_lincomb(A[s, :s], [f'k{j}_{i}' for j in range(s)])} * h" for i in range(n))
+    return [f"    k{s} = fun({t0} + {float(C[s])!r} * h, [{args}])",
             f"    {_names(s, n)} = k{s}"]
 
 
 def _y_new(i) -> str:
-    return f"y_{i} + h * {_lincomb(_dop.B, [f'k{j}_{i}' for j in range(_N)])}"
+    return f"y_{i} + h * {_lincomb(B, [f'k{j}_{i}' for j in range(_N)])}"
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,9 +293,9 @@ def _attempt_for(n: int):
         src += [f"    a = abs(y_{i})",
                 f"    b = abs(n_{i})",
                 "    sc = atol + (a if a > b else b) * rtol",
-                f"    e = {_lincomb(_dop.E5, ks)} / sc",
+                f"    e = {_lincomb(E5, ks)} / sc",
                 "    s5 += e * e",
-                f"    e = {_lincomb(_dop.E3, ks)} / sc",
+                f"    e = {_lincomb(E3, ks)} / sc",
                 "    s3 += e * e"]
     src += [f"    return y_new, f_new, s5, s3, ({', '.join(f'k{s}' for s in range(1, _N))})"]
     return _compiled("attempt", src, n)
@@ -186,28 +305,28 @@ def _attempt_for(n: int):
 def _build_for(n: int):
     """build(fun, t_old, t, block) for states of dimension n: evaluates the
     three extra stages on the packed block [y_old, K0, K5..K12] and returns
-    scipy's Dop853DenseOutput for the step.  Its y_new is the attempt's,
-    bit for bit."""
+    the step's Dop853Interpolant.  Its y_new is the attempt's, bit for
+    bit."""
     ys = ", ".join(f"y_{i}" for i in range(n))
     src = ["def build(fun, t_old, t, block):",
            f"    {ys}, {', '.join(_names(j, n) for j in _KEPT)} = block",
            "    h = t - t_old"]
-    for s in range(_N + 1, _dop.N_STAGES_EXTENDED):
+    for s in range(_N + 1, N_STAGES_EXTENDED):
         src += _stage(s, n, "t_old")
     F = []
     for i in range(n):
-        ks = [f"k{j}_{i}" for j in range(_dop.N_STAGES_EXTENDED)]
+        ks = [f"k{j}_{i}" for j in range(N_STAGES_EXTENDED)]
         src += [f"    d_{i} = {_y_new(i)} - y_{i}"]
         F.append([f"d_{i}", f"h * k0_{i} - d_{i}", f"2 * d_{i} - h * (k{_N}_{i} + k0_{i})"]
-                 + [f"h * {_lincomb(row, ks)}" for row in _dop.D])
+                 + [f"h * {_lincomb(row, ks)}" for row in D])
     rows = ", ".join("[" + ", ".join(F[i][r] for i in range(n)) + "]"
-                     for r in range(_dop.INTERPOLATOR_POWER))
-    src += [f"    return Dop853DenseOutput(t_old, t, np.array([{ys}]), np.array([{rows}]))"]
+                     for r in range(INTERPOLATOR_POWER))
+    src += [f"    return Dop853Interpolant(t_old, t, np.array([{ys}]), np.array([{rows}]))"]
     return _compiled("build", src, n)
 
 
 def _compiled(name, src, n):
-    namespace = {"Dop853DenseOutput": Dop853DenseOutput, "np": np}
+    namespace = {"Dop853Interpolant": Dop853Interpolant, "np": np}
     exec(compile("\n".join(src), f"<DOP853 {name} n={n}>", "exec"), namespace)
     return namespace[name]
 
@@ -215,12 +334,12 @@ def _compiled(name, src, n):
 class DOP853:
     """DOP853 on Python floats, without OdeSolver's per-call wrappers.
 
-    Scipy's tableau (Hairer, Norsett and Wanner), error norm, step-size
-    control and initial step, with the arithmetic of one attempt unrolled
-    over lists of floats (see _attempt_for), so t, y and status agree with
-    scipy.integrate.DOP853 to rounding.  fun(t, y) takes and returns lists;
-    self.y and self.f are lists.  Tolerances are scalars with scipy's
-    checks.  A step below ten float spacings of t sets status "failed" and
+    The tableau vendored from Hairer, Norsett and Wanner, with scipy's
+    error norm, step-size control and initial step, and the arithmetic of
+    one attempt unrolled over lists of floats (see _attempt_for), so t, y
+    and status agree with scipy.integrate.DOP853 to rounding.  fun(t, y)
+    takes and returns lists; self.y and self.f are lists.  Tolerances are
+    scalars with scipy's checks.  A step below ten float spacings of t sets status "failed" and
     returns scipy's message.
 
     dense_output() packs the last step's stages into a _LazyDop853, which
@@ -308,8 +427,44 @@ class DOP853:
         return _LazyDop853(_build_for(self.n), self.fun, self.t_old, self.t, array("d", block))
 
 
+class Dop853Interpolant:
+    """The 7th-order DOP853 interpolant over one step from t_old to t.
+
+    F holds its INTERPOLATOR_POWER rows (see _build_for).  The evaluation is
+    scipy's Dop853DenseOutput's, operation for operation, so values agree
+    with it bit for bit: with x = (t - t_old) / h, a Horner-like pass over
+    the rows in reverse that multiplies by x and 1 - x in turn, then
+    y_old added.  t is a scalar (returns shape (n,)) or a 1-D array
+    (returns shape (n, len(t))).
+    """
+
+    __slots__ = ("t_old", "t", "h", "y_old", "F")
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old, self.t, self.h, self.y_old, self.F = t_old, t, t - t_old, y_old, F
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        if t.ndim > 1:
+            raise ValueError("`t` must be a float or a 1-D array.")
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y.T
+
+
 class _LazyDop853:
-    """scipy's Dop853DenseOutput for one step, built on its first call.
+    """The Dop853Interpolant of one step, built on its first call.
 
     Until then it holds only the step's packed float64 block [y_old, K0,
     K5..K12] (10 rows); the build evaluates the three extra stages through
@@ -395,6 +550,51 @@ class DenseSolution:
         if t > seg.t_hi and idx + 1 < len(self._ordered):
             seg = self._ordered[idx + 1]
         return seg.state_vector(t)
+
+
+@dataclass
+class DenseRun:
+    """A solve_dense result.  status is "completed" at the span's end,
+    "event" at the event's root, or "failed" on a step size underflow;
+    t_end is that time (the last accepted one on a failure)."""
+
+    dense: DenseSolution
+    t_end: float
+    status: str
+
+
+_EVENT_TOL = 4 * np.finfo(float).eps
+
+
+def solve_dense(fun, span: Tuple[float, float], y0, rtol: float, atol: float,
+                event: EventSpec) -> DenseRun:
+    """Dense DOP853 solution of y' = fun(t, y) over span = (t0, t1), for a
+    small system with fun on lists of floats, stopped at the first root of
+    ``event`` in its direction.
+
+    The event follows scipy.integrate.solve_ivp: a step crosses when its
+    values at the step's ends reach zero from the right side (zero counts
+    on both ends), and the root is polished on the step's interpolant with Brent's
+    method at xtol = rtol = 4 eps.  A step size underflow ends the run
+    early; it does not raise.
+    """
+    t0, t1 = span
+    solver = DOP853(fun, t0, y0, t1, rtol=rtol, atol=atol)
+    segments: list = []
+    g = event.func(t0, solver.y)
+    while solver.status == "running":
+        if solver.step() is not None:
+            return DenseRun(DenseSolution(segments), solver.t, "failed")
+        seg = solver.dense_output()
+        segments.append(seg)
+        g_new = event.func(solver.t, solver.y)
+        up, down = g <= 0.0 <= g_new, g >= 0.0 >= g_new
+        if (up or down) if event.direction == 0 else (up if event.direction > 0 else down):
+            root = brentq(lambda t: event.func(t, seg(t)), solver.t_old, solver.t,
+                          xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+            return DenseRun(DenseSolution(segments), root, "event")
+        g = g_new
+    return DenseRun(DenseSolution(segments), solver.t, "completed")
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,6 @@ class KeplerElements:
         return float(np.linalg.norm(self.e_vec))
 
     @property
-    def is_radial(self) -> bool:
-        return self.conic == "radial"
-
-    @property
     def conic(self) -> str:
         if self.c <= _RADIAL_TOL * math.sqrt(self.kappa * max(self._r_scale, 1e-300)):
             return "radial"

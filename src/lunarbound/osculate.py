@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import kepler
 from .bounds import BoundSet
-from .core import JacobiState, MassParams
-from .integrate import Trajectory
+from .core import JacobiState, MassParams, _float_rhs
+from .integrate import DenseSolution, EventSpec, Trajectory, solve_dense
+from .roots import brentq
 
 __all__ = [
     "osculating_orbit",
@@ -177,14 +176,14 @@ class SandwichSolution:
     direction: int
     t_valid: float
     monotone_ok: bool
-    sol_minus: object
-    sol_plus: object
+    sol_minus: DenseSolution
+    sol_plus: DenseSolution
 
     def rho_minus(self, t):
-        return self.sol_minus.sol(t)[0]
+        return self.sol_minus(t)[0]
 
     def rho_plus(self, t):
-        return self.sol_plus.sol(t)[0]
+        return self.sol_plus(t)[0]
 
 
 def sandwich_ode(
@@ -202,8 +201,9 @@ def sandwich_ode(
 
     The monotonicity hypothesis (rho_± above 3 c0^2/(2M)) is watched with a
     terminal event; crossing it truncates the validity window and flags the
-    solution.  ``forcing`` overrides a eps^4 (zero reproduces the osculating
-    radial equation for both solutions).
+    solution, and so does a step size failure, at the last accepted time.
+    ``forcing`` overrides a eps^4 (zero reproduces the osculating radial
+    equation for both solutions).
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -211,46 +211,25 @@ def sandwich_ode(
     c0sq = sp.c0**2
     floor = 1.5 * c0sq / M
 
-    def rhs(t, y, sgn):
-        rho = y[0]
-        return [y[1], c0sq / rho**3 - M / rho**2 + sgn * f]
-
-    def hit_floor(t, y, sgn):
-        return y[0] - floor
-
-    hit_floor.terminal = True
-    hit_floor.direction = -1
-
-    t_end = direction * sp.time_horizon
-    sols = {}
-    for sgn in (-1.0, +1.0):
-        sols[sgn] = solve_ivp(
-            rhs,
-            (0.0, t_end),
-            [rho0, drho0],
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
-            events=hit_floor,
-            args=(sgn,),
-        )
+    hit_floor = EventSpec(name="monotone_floor", func=lambda t, y: y[0] - floor,
+                          direction=-1, terminal=True)
+    span = (0.0, direction * sp.time_horizon)
     t_valid = sp.time_horizon
     monotone_ok = True
+    runs = []
     for sgn in (-1.0, +1.0):
-        res = sols[sgn]
-        if res.t_events[0].size > 0:
+        field = lambda y, g=sgn * f: [y[1], c0sq / y[0]**3 - M / y[0]**2 + g]
+        run = solve_dense(_float_rhs(field), span, [rho0, drho0], rtol, atol, hit_floor)
+        if run.status != "completed":
             monotone_ok = False
-            t_valid = min(t_valid, abs(float(res.t_events[0][0])))
-        elif not res.success:
-            monotone_ok = False
-            t_valid = min(t_valid, abs(float(res.t[-1])))
+            t_valid = min(t_valid, abs(run.t_end))
+        runs.append(run.dense)
     return SandwichSolution(
         direction=direction,
         t_valid=t_valid,
         monotone_ok=monotone_ok,
-        sol_minus=sols[-1.0],
-        sol_plus=sols[+1.0],
+        sol_minus=runs[0],
+        sol_plus=runs[1],
     )
 
 

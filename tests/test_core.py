@@ -148,18 +148,6 @@ class TestJacobiTransform:
         with pytest.raises(ValueError, match="center of mass"):
             to_jacobi(st, mp)
 
-    def test_collision_degenerate_flag(self):
-        st = CartesianState(
-            q1=[-1, 0, 0], q2=[-1, 0, 0], q3=[2, 0, 0],
-            v1=[0, 0, 0], v2=[0, 0, 0], v3=[0, 0, 0],
-        )
-        assert st.collision_degenerate()
-        st2 = CartesianState(
-            q1=[-1, 0, 0], q2=[1, 0, 0], q3=[0, 2, 0],
-            v1=[0, 0, 0], v2=[0, 0, 0], v3=[0, 0, 0],
-        )
-        assert not st2.collision_degenerate()
-
     def test_cartesian_to_jacobi_round_trip(self, rng):
         mp = MassParams(0.9, 1.4, 0.6)
         js = random_jacobi_state(rng)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.rk import rk_step
+from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
 
 from lunarbound import kepler as kp
 from lunarbound.core import (
@@ -16,6 +16,7 @@ from lunarbound.core import (
 )
 from lunarbound.integrate import (
     DOP853,
+    Dop853Interpolant,
     EventSpec,
     _attempt_for,
     IntegrationSingularityError,
@@ -655,3 +656,52 @@ class TestDOP853Driver:
             assert np.array_equal(dz[0:4], direction * up)
             assert dz[9] == pytest.approx(direction * r, rel=1e-15)
             assert np.allclose(dz[10:13], direction * r * v2, rtol=1e-15, atol=0.0)
+
+
+class TestVendoredDop853:
+    """The tableau and the interpolant the driver carries itself, against
+    scipy's, which they reproduce exactly."""
+
+    def test_tableau_equals_scipy_entry_for_entry(self):
+        mod = importlib.import_module("lunarbound.integrate")
+        for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+            assert getattr(mod, name) == getattr(_dop, name)
+        for name in ("A", "B", "C", "E3", "E5", "D"):
+            ours, ref = getattr(mod, name), getattr(_dop, name)
+            assert ours.shape == ref.shape and ours.dtype == ref.dtype
+            assert ours.tobytes() == ref.tobytes(), name
+
+    @staticmethod
+    def assert_bitwise(ours, ref, t_old, t, ts):
+        for tq in list(ts) + [float(ts[0]), t_old, t]:
+            got, want = ours(tq), ref(tq)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got, want = ours(ts), ref(ts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_interpolant_bitwise_equal_to_scipy(self, rng, sign):
+        for _ in range(30):
+            n = int(rng.integers(1, 17))
+            t_old = float(rng.normal() * 10.0)
+            t = t_old + sign * float(rng.uniform(1e-3, 2.0))
+            y_old = rng.normal(size=n)
+            F = rng.normal(size=(7, n)) * 10.0 ** rng.integers(-8, 3, size=(7, 1))
+            ts = t_old + (t - t_old) * np.concatenate([[0.0, 1.0], rng.uniform(-0.1, 1.1, 9)])
+            self.assert_bitwise(Dop853Interpolant(t_old, t, y_old, F),
+                                Dop853DenseOutput(t_old, t, y_old, F), t_old, t, ts)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_driver_interpolant_bitwise_equal_to_scipy(self, sign):
+        for state in UNEQUAL_STATES:
+            solver = DOP853(make_rhs(UNEQUAL), 0.0, state.as_vector(), sign * 1e4,
+                            rtol=1e-12, atol=1e-12)
+            for _ in range(10):
+                solver.step()
+            lazy = solver.dense_output()
+            ts = np.linspace(solver.t_old, solver.t, 7)
+            lazy(ts[3])
+            built = lazy._interp
+            assert isinstance(built, Dop853Interpolant)
+            ref = Dop853DenseOutput(built.t_old, built.t, built.y_old, built.F)
+            self.assert_bitwise(lazy, ref, solver.t_old, solver.t, ts)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from lunarbound import kepler as kp
 from lunarbound.core import JacobiState, MassParams, energy_split
@@ -198,6 +199,73 @@ class TestSandwichOde:
                 mid = (2 * sp.a * sp.epsilon / sp.k) * (2.0 + math.exp(x))
                 assert lhs <= mid * (1 + 1e-12)
                 assert mid <= bs.A1 * sp.epsilon * (1 + 1e-12)
+
+
+
+def solve_ivp_sandwich(rho0, drho0, sp, M, direction, forcing=None):
+    """The comparison pair as scipy's solve_ivp(method="DOP853") integrates
+    it, with the same terminal floor event: {sign: OdeResult}."""
+    f = sp.a * sp.epsilon**4 if forcing is None else forcing
+    floor = 1.5 * sp.c0**2 / M
+
+    def rhs(t, y, sgn):
+        return [y[1], sp.c0**2 / y[0]**3 - M / y[0]**2 + sgn * f]
+
+    def hit_floor(t, y, sgn):
+        return y[0] - floor
+
+    hit_floor.terminal = True
+    hit_floor.direction = -1
+    return {sgn: solve_ivp(rhs, (0.0, direction * sp.time_horizon), [rho0, drho0],
+                           method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True,
+                           events=hit_floor, args=(sgn,))
+            for sgn in (-1.0, 1.0)}
+
+
+class TestSandwichAgainstSolveIvp:
+    """sandwich_ode on the in-repo driver against solve_ivp, the reference it
+    replaces: both run DOP853 at rtol = atol = 1e-12, so the solutions agree
+    to a small multiple of that, and the floor event, polished by Brent on
+    the step interpolant, to rounding."""
+
+    RHO_REL = 10 * 1e-12
+    EVENT_REL = 1e-12
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("forcing", [None, 0.0])
+    def test_pair_and_floor_event_match(self, sample_trajectories, direction, forcing):
+        mp, bs, I_bar, state, fwd, _ = sample_trajectories
+        el0, _ = osculating_orbit(fwd, 0.0, "outer")
+        sp = sandwich_params(bs, I_bar, el0.c, mp.M)
+        rho0 = state.rho
+        drho0 = float(state.xi2 @ state.dxi2) / rho0
+        sw = sandwich_ode(rho0, drho0, sp, mp.M, direction=direction, forcing=forcing)
+        ref = solve_ivp_sandwich(rho0, drho0, sp, mp.M, direction, forcing)
+        hits = [abs(float(r.t_events[0][0])) for r in ref.values() if r.t_events[0].size]
+        assert all(r.status in (0, 1) for r in ref.values())
+        assert sw.monotone_ok == (not hits)
+        t_ref = min(hits + [sp.time_horizon])
+        assert abs(sw.t_valid - t_ref) <= self.EVENT_REL * t_ref
+        for t in np.linspace(0.0, direction * sw.t_valid, 101):
+            for ours, want in ((sw.rho_minus(t), ref[-1.0].sol(t)[0]),
+                               (sw.rho_plus(t), ref[1.0].sol(t)[0])):
+                assert abs(ours - want) <= self.RHO_REL * abs(want)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_step_size_failure_truncates_without_raising(self, sample_trajectories, direction):
+        # c0 = 0 makes the pair a radial fall into rho = 0, where the step
+        # size underflows before the floor (now 0) is crossed
+        mp, bs, I_bar, _, fwd, _ = sample_trajectories
+        el0, _ = osculating_orbit(fwd, 0.0, "outer")
+        sp = dataclasses.replace(sandwich_params(bs, I_bar, el0.c, mp.M), c0=0.0)
+        sw = sandwich_ode(1.0, 0.0, sp, mp.M, direction=direction, forcing=0.0)
+        ref = solve_ivp_sandwich(1.0, 0.0, sp, mp.M, direction, forcing=0.0)
+        assert all(r.status == -1 and not r.t_events[0].size for r in ref.values())
+        assert not sw.monotone_ok
+        t_fail = abs(float(ref[1.0].t[-1]))
+        assert 0.0 < sw.t_valid < sp.time_horizon
+        assert sw.t_valid == pytest.approx(t_fail, rel=1e-12)
+        assert sw.rho_minus(direction * sw.t_valid) < 1e-6
 
 
 class TestVerifyDeviation:
