@@ -46,8 +46,6 @@ from .integrate import (
     Event,
     EventSpec,
     Trajectory,
-    detect_I_crossing,
-    detect_syzygy,
     integrate,
     integrate_regularized,
 )

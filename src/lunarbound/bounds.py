@@ -537,10 +537,16 @@ class BoundSet:
     def mp(self) -> MassParams:
         return MassParams(*self.masses)
 
+    @property
+    def far_mp(self) -> MassParams:
+        """The masses relabeled with far_body last: the labeling of the
+        constants."""
+        return self.mp.relabeled(self.far_body)
+
     def rho_bar(self, I_bar: float) -> float:
         """Least outer distance compatible with I >= I_bar and r <= c_r, in
         the labeling of the constants (far body last)."""
-        mp = self.mp.relabeled(self.far_body)
+        mp = self.far_mp
         val = (I_bar - mp.alpha1 * self.c_r**2) / mp.alpha2
         if val <= 0.0:
             raise ValueError(f"level {I_bar} sits below alpha1 c_r^2")
@@ -549,9 +555,13 @@ class BoundSet:
     def epsilon(self, I_bar: float) -> float:
         return 1.0 / self.rho_bar(I_bar)
 
+    def horizon(self, I_bar: float) -> float:
+        """Time horizon B1 eps^(-3/2) of the deviation estimate at I_bar."""
+        return self.B1 * self.epsilon(I_bar) ** (-1.5)
+
     def i_plus(self, I_bar: float) -> float:
         """Strip ceiling 4 (I_bar - alpha1 c_r^2), far body last."""
-        mp = self.mp.relabeled(self.far_body)
+        mp = self.far_mp
         return 4.0 * (I_bar - mp.alpha1 * self.c_r**2)
 
     def strip(self, s: float):

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import ChainOverflowError, NoSplittingError, i0
+from .bounds import ChainOverflowError, i0
 from .core import angular_momentum, energy_split, moment_of_inertia
 from .harness import (
     ScenarioConfig,
@@ -26,7 +26,7 @@ from .harness import (
 from .integrate import integrate, integrate_regularized
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -76,12 +76,7 @@ def _emit(obj, args, default_name: str) -> None:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    if not cfg.H < 0:
-        raise UsageError("H must be negative (H < 0) for the bound chain")
-    try:
-        I0_val, bs = i0(cfg.mp, cfg.H, cfg.J_mag, lam=cfg.lam, B1=cfg.B1)
-    except NoSplittingError as exc:
-        raise UsageError(str(exc)) from exc
+    I0_val, bs = i0(cfg.mp, cfg.H, cfg.J_mag, lam=cfg.lam, B1=cfg.B1)
     out = bs.to_dict()
     out["I0_max_over_far_bodies"] = I0_val
     _emit(out, args, "bounds.json")
@@ -249,9 +244,6 @@ def main(argv=None) -> int:
             setattr(args, name, None)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ChainOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

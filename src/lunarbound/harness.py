@@ -52,7 +52,7 @@ __all__ = [
 SCHEMA = "lunar-bound/1"
 
 
-class SampleError(RuntimeError):
+class SampleError(ValueError):
     """Sampling failed after the retry budget; names the binding constraint."""
 
 
@@ -414,7 +414,7 @@ def _sample_one(cfg: ScenarioConfig, bs: BoundSet, I_lo: float, I_hi: float, ind
     raise SampleError(f"sampling failed after 64 retries: {last_reason}")
 
 
-def _sampling_window(cfg: ScenarioConfig, bs: BoundSet, level: float):
+def _sampling_window(cfg: ScenarioConfig, level: float):
     if cfg.i_range is not None:
         return cfg.i_range
     return level * cfg.ranges.i_lo_factor, level * cfg.ranges.i_hi_factor
@@ -431,7 +431,7 @@ def sample_initial_conditions(cfg: ScenarioConfig, bs: Optional[BoundSet] = None
         bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag, far_body=cfg.far_body,
                            lam=cfg.lam, B1=cfg.B1)
     level = cfg.level if cfg.level is not None else bs.i0
-    I_lo, I_hi = _sampling_window(cfg, bs, level)
+    I_lo, I_hi = _sampling_window(cfg, level)
     return [_sample_one(cfg, bs, I_lo, I_hi, i) for i in range(cfg.count)]
 
 
@@ -493,8 +493,8 @@ class ExperimentReport:
     aggregate: dict
     wall_clock_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "schema": self.schema,
             "config": self.config,
             "config_hash": self.config_hash,
@@ -504,18 +504,15 @@ class ExperimentReport:
             "samples": self.samples,
             "aggregate": self.aggregate,
         }
-        if include_timing:
-            d["wall_clock_s"] = self.wall_clock_s
-        return d
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return canonical_json(self.to_dict(include_timing=include_timing))
+    def to_json(self) -> str:
+        return canonical_json(self.to_dict())
 
 
 def _budget_rho(bs: BoundSet, level: float) -> float:
     """rho_bar at the level, clamped to >= 1 so sub-threshold levels (the
     negative control) still get a finite, meaningful time budget."""
-    mp = bs.mp.relabeled(bs.far_body)
+    mp = bs.far_mp
     val = (level - mp.alpha1 * bs.c_r**2) / mp.alpha2
     return math.sqrt(max(val, 1.0))
 
@@ -605,14 +602,14 @@ def run_theorem_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -
                            lam=cfg.lam, B1=cfg.B1)
     level = cfg.level if cfg.level is not None else bs.i0
     t_budget = cfg.budget_factor * bs.B1 * _budget_rho(bs, level) ** 1.5
-    I_lo, I_hi = _sampling_window(cfg, bs, level)
+    I_lo, I_hi = _sampling_window(cfg, level)
 
     tasks = [(cfg, bs, level, t_budget, I_lo, I_hi, i) for i in range(cfg.count)]
     if cfg.jobs > 1:
         try:
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
                 samples = list(pool.map(_run_sample, tasks))
-        except (OSError, PermissionError):
+        except OSError:
             samples = [_run_sample(t) for t in tasks]
     else:
         samples = [_run_sample(t) for t in tasks]
@@ -665,7 +662,6 @@ def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None,
 
     Returns a canonical-JSON-able dict with one entry per sample.
     """
-    t_start = time.perf_counter()
     if bs is None:
         bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag, far_body=cfg.far_body,
                            lam=cfg.lam, B1=cfg.B1)
@@ -674,7 +670,7 @@ def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None,
     if I_bar is None:
         I_bar = bs.R_bar
     eps = bs.epsilon(I_bar)
-    horizon = bs.B1 * eps ** (-1.5)
+    horizon = bs.horizon(I_bar)
     I_hi = bs.i_plus(I_bar)
     reports = []
     for i in range(cfg.count):

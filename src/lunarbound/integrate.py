@@ -55,9 +55,6 @@ __all__ = [
     "solve_dense",
     "integrate",
     "integrate_regularized",
-    "detect_I_crossing",
-    "detect_syzygy",
-    "outer_pericenter_event",
 ]
 
 DEFAULT_RTOL = 1e-12
@@ -108,15 +105,6 @@ class Event:
     kind: str
     payload: dict
     state: JacobiState
-
-
-def outer_pericenter_event() -> EventSpec:
-    """d(rho)/dt changes sign - to +, i.e. xi2 . dxi2 crosses zero upward."""
-    return EventSpec(
-        name="outer_pericenter",
-        func=lambda t, y: y[3] * y[9] + y[4] * y[10] + y[5] * y[11],
-        direction=+1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -925,110 +913,6 @@ def _run_cart_phase(rhs, y_start, t_start, t1, rtol, atol, specs, budget, dense,
         ys.extend(y_now)
         t_prev, y_prev = t_now, y_now
     return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "cart")
-
-
-# ---------------------------------------------------------------------------
-# Post-hoc event scans
-
-def detect_I_crossing(traj: Trajectory, level: float) -> List[Event]:
-    """All crossings of I(t) = level on the stored trajectory, polished on
-    the dense output.  Payload carries the level and crossing direction
-    (-1 entering I <= level, +1 leaving)."""
-    mp = traj.mp
-    vals = traj.inertia_nodes() - level
-    out: List[Event] = []
-    if traj.dense is None:
-        raise ValueError("dense output required for crossing detection")
-
-    def g(t):
-        return traj.inertia_at(t) - level
-
-    for i in range(len(traj.t) - 1):
-        a, b = vals[i], vals[i + 1]
-        if (a < 0.0 <= b) or (a > 0.0 >= b):
-            lo, hi = sorted((float(traj.t[i]), float(traj.t[i + 1])))
-            root = brentq(g, lo, hi, xtol=1e-14, rtol=8.881784197001252e-16)
-            direction = -1 if a > 0.0 else +1
-            out.append(
-                Event(
-                    t=root,
-                    kind="i_crossing",
-                    payload={"level": level, "direction": direction},
-                    state=traj.state_at(root),
-                )
-            )
-    return out
-
-
-def detect_syzygy(traj: Trajectory, plane_tol: float = 1e-10) -> Optional[List[Event]]:
-    """Collinearity events of a planar trajectory, typed by the middle mass.
-
-    Returns None (not applicable) when the motion is not planar to
-    plane_tol: collinear instants have codimension two in space, so scanning
-    for them only makes sense in the plane.
-    """
-    mp = traj.mp
-    y = traj.y
-    # common plane normal: least-singular direction of all position and
-    # velocity vectors (robust even for collinear or 1-D motion)
-    take = np.linspace(0, len(y) - 1, min(len(y), 64)).astype(int)
-    rows = np.concatenate([y[take, 0:3], y[take, 3:6], y[take, 6:9], y[take, 9:12]])
-    norms = np.linalg.norm(rows, axis=1)
-    rows_n = rows[norms > 0] / norms[norms > 0, None]
-    if rows_n.shape[0] == 0:
-        return None
-    _, _, vt = np.linalg.svd(rows_n, full_matrices=True)
-    n_hat = vt[-1]
-    scale = max(np.abs(y[:, 0:6]).max(), 1e-300)
-    for i in range(len(y)):
-        for block in (0, 3, 6, 9):
-            if abs(float(y[i, block:block + 3] @ n_hat)) > plane_tol * scale:
-                return None
-
-    def syz(t, st: JacobiState) -> float:
-        # collinear iff the two relative position vectors are parallel
-        return float(np.cross(st.xi1, st.xi2) @ n_hat)
-
-    def middle_mass(st: JacobiState) -> int:
-        from .core import from_jacobi
-
-        cart = from_jacobi(st, mp)
-        qs = [cart.q1, cart.q2, cart.q3]
-        d = st.xi1 / max(np.linalg.norm(st.xi1), 1e-300)
-        params = sorted(range(3), key=lambda i: float(qs[i] @ d))
-        return params[1] + 1
-
-    out: List[Event] = []
-    vals = [syz(float(traj.t[i]), JacobiState.from_vector(y[i])) for i in range(len(y))]
-    if abs(vals[0]) == 0.0:
-        st0 = JacobiState.from_vector(y[0])
-        out.append(
-            Event(
-                t=float(traj.t[0]),
-                kind="syzygy",
-                payload={"middle_mass": middle_mass(st0)},
-                state=st0,
-            )
-        )
-
-    def g(t):
-        return syz(t, traj.state_at(t))
-
-    for i in range(len(y) - 1):
-        a, b = vals[i], vals[i + 1]
-        if (a < 0.0 <= b) or (a > 0.0 >= b):
-            lo, hi = sorted((float(traj.t[i]), float(traj.t[i + 1])))
-            root = brentq(g, lo, hi, xtol=1e-14, rtol=8.881784197001252e-16)
-            st = traj.state_at(root)
-            out.append(
-                Event(
-                    t=root,
-                    kind="syzygy",
-                    payload={"middle_mass": middle_mass(st)},
-                    state=st,
-                )
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def ct_drift(
     report is flagged not applicable rather than failed.
     """
     eps = bs.epsilon(I_bar)
-    horizon = bs.B1 * eps ** (-1.5)
+    horizon = bs.horizon(I_bar)
     lo, hi = min(span), max(span)
     mask = (traj.t >= lo) & (traj.t <= hi)
     if not mask.any():
@@ -153,7 +153,7 @@ def sandwich_params(bs: BoundSet, I_bar: float, c0: float, M: float) -> Sandwich
         A1=bs.A1,
         B1=bs.B1,
         c0=c0,
-        time_horizon=bs.B1 * eps ** (-1.5),
+        time_horizon=bs.horizon(I_bar),
     )
 
 
@@ -294,15 +294,6 @@ class DeviationReport:
             "ok": self.ok,
         }
 
-    def to_csv(self, path) -> None:
-        """Per-sample time series: t, rho_true, rho_osc, deviation, bound."""
-        with open(path, "w") as fh:
-            fh.write("# lunar-bound/1 deviation\n")
-            fh.write("t,rho_true,rho_osc,deviation,bound\n")
-            for i, t in enumerate(self.times):
-                row = (t, self.rho_true[i], self.rho_osc[i], self.deviation[i], self.bound)
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
 
 def _osc_exit_time(tb0: kepler.TwoBodyState, rho_bar: float, horizon: float) -> Optional[float]:
     """First |t| <= horizon (searching forward then backward) where the
@@ -371,11 +362,11 @@ def certify_entry(
     """
     if not (math.isfinite(level) and level >= bs.R_bar):
         return None
-    if mp != bs.mp.relabeled(bs.far_body):
+    if mp != bs.far_mp:
         return None
     eps = bs.epsilon(level)
     gap = bs.A1 * eps
-    horizon = bs.B1 * eps ** (-1.5)
+    horizon = bs.horizon(level)
     if not (math.isfinite(gap) and math.isfinite(horizon)):
         return None
     target = (bs.rho_bar(level) - gap) * (1.0 - _CERT_SLACK)
@@ -407,7 +398,7 @@ def verify_deviation(
     mp = traj_fwd.mp
     eps = bs.epsilon(I_bar)
     rho_bar = bs.rho_bar(I_bar)
-    horizon = bs.B1 * eps ** (-1.5)
+    horizon = bs.horizon(I_bar)
     bound = bs.A1 * eps
 
     el0, tb0 = osculating_orbit(traj_fwd, traj_fwd.t0, which="outer")

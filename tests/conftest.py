@@ -5,6 +5,7 @@ import pytest
 
 from lunarbound.bounds import compute_chain, i0
 from lunarbound.core import JacobiState, MassParams
+from lunarbound.integrate import EventSpec
 from lunarbound.harness import APPENDIX_H, APPENDIX_J, APPENDIX_MASSES
 
 
@@ -47,6 +48,15 @@ def coupling_term_sizes(js: JacobiState, mp: MassParams):
     nu = np.linalg.norm(js.xi2 + mp.mu2 * js.xi1)
     nw = np.linalg.norm(js.xi2 - mp.mu1 * js.xi1)
     return mp.m1 * mp.m3 / nu ** 2, mp.m2 * mp.m3 / nw ** 2
+
+
+def outer_pericenter_event() -> EventSpec:
+    """d(rho)/dt changes sign - to +, i.e. xi2 . dxi2 crosses zero upward."""
+    return EventSpec(
+        name="outer_pericenter",
+        func=lambda t, y: y[3] * y[9] + y[4] * y[10] + y[5] * y[11],
+        direction=+1,
+    )
 
 
 @pytest.fixture()

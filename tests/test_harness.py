@@ -324,6 +324,14 @@ class TestCli:
         assert code == 2
         assert "overflows a double" in capsys.readouterr().err
 
+    def test_verify_theorem_unsamplable_level_exit_two(self, capsys):
+        # the level lies below the inner binary's own share of I, and no
+        # i_range widens the sampling window: sampling fails, a usage error
+        code = self.run_cli("--masses", "1", "1", "1", "--H", "-0.5", "--J", "0.1",
+                            "verify-theorem", "--level", "0.001", "--count", "2")
+        assert code == 2
+        assert "error: sampling failed" in capsys.readouterr().err
+
     def test_bounds_emits_named_constants(self, capsys):
         code = self.run_cli("--masses", "1", "1", "1", "--H", "-0.5", "--J", "0.2", "bounds")
         assert code == 0

@@ -11,8 +11,8 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
 
 from lunarbound import kepler as kp
 from lunarbound.core import (
-    JacobiState, MassParams, angular_momentum, energy_split, make_rhs, moment_of_inertia,
-    perturbation_gradients,
+    JacobiState, MassParams, angular_momentum, energy_split, flat_inertia, make_rhs,
+    moment_of_inertia, perturbation_gradients,
 )
 from lunarbound.integrate import (
     DOP853,
@@ -20,14 +20,11 @@ from lunarbound.integrate import (
     EventSpec,
     _attempt_for,
     IntegrationSingularityError,
-    detect_I_crossing,
-    detect_syzygy,
     integrate,
     integrate_regularized,
-    outer_pericenter_event,
 )
 
-from conftest import coupling_term_sizes
+from conftest import coupling_term_sizes, outer_pericenter_event
 
 
 def hierarchical_state(a1=0.3, rho=9.0, vr=-0.2, vt=0.15):
@@ -96,22 +93,29 @@ class TestIntegrate:
             assert np.abs(left - right).max() < 1e-9
 
 
+def i_crossings(st, mp, span, level, **kw):
+    """The crossings of I(t) = level that the step loop finds: entries
+    (direction -1) and exits (+1), each tagged with its direction."""
+    inertia = flat_inertia(mp)
+    specs = [EventSpec("i_crossing", lambda t, y: inertia(y) - level, d,
+                       payload={"level": level, "direction": d}) for d in (-1, +1)]
+    return integrate(st, mp, span, events=specs, **kw).events
+
+
 class TestEvents:
     def test_i_crossing_detection(self):
         mp, st = hierarchical_state(vr=-0.25)
-        traj = integrate(st, mp, (0.0, 60.0))
         I0 = moment_of_inertia(st, mp)
         level = 0.7 * I0
-        events = detect_I_crossing(traj, level)
+        events = i_crossings(st, mp, (0.0, 60.0), level)
         assert events, "expected at least one crossing"
         for ev in events:
             assert abs(moment_of_inertia(ev.state, mp) - level) <= 1e-10 * level
 
     def test_i_crossing_none_below(self):
         mp, st = hierarchical_state()
-        traj = integrate(st, mp, (0.0, 5.0))
         I0 = moment_of_inertia(st, mp)
-        assert detect_I_crossing(traj, 10.0 * I0 + 100.0) == []
+        assert i_crossings(st, mp, (0.0, 5.0), 10.0 * I0 + 100.0) == []
         assert moment_of_inertia(st, mp) < 10.0 * I0 + 100.0  # already inside
 
     def test_i_crossing_alternating_directions(self):
@@ -126,9 +130,8 @@ class TestEvents:
             xi2=[r_apo, 0, 0], dxi2=[0, v_apo, 0],
         )
         T2 = 2 * math.pi * math.sqrt(a2**3 / mp.M)
-        traj = integrate(st, mp, (0.0, 2.2 * T2))
         level = mp.alpha2 * a2**2  # between peri and apo inertia levels
-        events = detect_I_crossing(traj, level)
+        events = i_crossings(st, mp, (0.0, 2.2 * T2), level)
         assert len(events) >= 4 and len(events) % 2 == 0
         dirs = [ev.payload["direction"] for ev in events]
         assert all(a != b for a, b in zip(dirs, dirs[1:]))
@@ -147,9 +150,8 @@ class TestEvents:
             xi2=[r_apo, 0, 0], dxi2=[0, v_apo, 0],
         )
         T2 = 2 * math.pi * math.sqrt(a2**3 / mp.M)
-        traj = integrate(st, mp, (0.0, 1.5 * T2), kepler_only=True)
         level = mp.alpha1 * 0.3**2 + mp.alpha2 * a2**2
-        found = detect_I_crossing(traj, level)
+        found = i_crossings(st, mp, (0.0, 1.5 * T2), level, kepler_only=True)
 
         outer = kp.TwoBodyState(xi=st.xi2, dxi=st.dxi2, kappa=mp.M)
         rho_target = a2  # inner radius is constant (circular binary)
@@ -188,45 +190,6 @@ class TestEvents:
         assert peri
         for ev in peri:
             assert abs(float(ev.state.xi2 @ ev.state.dxi2)) < 1e-8
-
-
-class TestSyzygy:
-    def test_collinear_initial_configuration(self):
-        # all three on a line (in-plane velocities): syzygy at t = 0
-        mp = MassParams(1.0, 1.0, 1.0)
-        st = JacobiState(xi1=[1.0, 0, 0], dxi1=[0.0, 0.8, 0], xi2=[3.0, 0, 0], dxi2=[0.0, -0.5, 0])
-        traj = integrate(st, mp, (0.0, 0.5))
-        events = detect_syzygy(traj)
-        assert events is not None and events
-        assert events[0].t == pytest.approx(0.0, abs=1e-12)
-
-    def test_fully_collinear_motion(self):
-        # degenerate 1-D motion stays applicable and reports the t=0 syzygy
-        mp = MassParams(1.0, 1.0, 1.0)
-        st = JacobiState(xi1=[1.0, 0, 0], dxi1=[0, 0, 0], xi2=[3.0, 0, 0], dxi2=[0, 0, 0])
-        traj = integrate(st, mp, (0.0, 0.05))
-        events = detect_syzygy(traj)
-        assert events is not None and events
-        assert events[0].t == pytest.approx(0.0, abs=1e-12)
-
-    def test_planar_hierarchical_types(self):
-        # while the third body is far, only types 1 and 2 occur
-        mp, st = hierarchical_state(rho=6.0, vr=0.0, vt=math.sqrt(1.0 / 6.0))
-        T2 = 2 * math.pi * math.sqrt(6.0**3 / mp.M)
-        traj = integrate(st, mp, (0.0, T2))
-        events = detect_syzygy(traj)
-        assert events is not None and len(events) >= 4
-        types = {ev.payload["middle_mass"] for ev in events}
-        assert types <= {1, 2}
-
-    def test_nonplanar_not_applicable(self):
-        mp, st = hierarchical_state()
-        tilted = JacobiState(
-            xi1=st.xi1, dxi1=st.dxi1 + np.array([0, 0, 0.2]),
-            xi2=st.xi2, dxi2=st.dxi2,
-        )
-        traj = integrate(tilted, mp, (0.0, 10.0))
-        assert detect_syzygy(traj) is None
 
 
 def two_body_collision_setup(r0=1.0):

@@ -282,16 +282,6 @@ class TestVerifyDeviation:
         assert rep.violations == 0
         assert rep.max_deviation < 1e-8
 
-    def test_csv_export(self, sample_trajectories, tmp_path):
-        mp, bs, I_bar, state, fwd, bwd = sample_trajectories
-        rep = verify_deviation(fwd, bwd, bs, I_bar, n_samples=40)
-        p = tmp_path / "dev.csv"
-        rep.to_csv(p)
-        lines = p.read_text().splitlines()
-        assert lines[0].startswith("# lunar-bound/1")
-        assert lines[1] == "t,rho_true,rho_osc,deviation,bound"
-        assert len(lines) == 2 + len(rep.times)
-
     def test_sampled_orbit_report(self, sample_trajectories):
         mp, bs, I_bar, state, fwd, bwd = sample_trajectories
         rep = verify_deviation(fwd, bwd, bs, I_bar)

@@ -16,12 +16,11 @@ from lunarbound.harness import (
     APPENDIX_H, APPENDIX_J, APPENDIX_MASSES, SamplerRanges, ScenarioConfig,
     sample_initial_conditions,
 )
-from lunarbound.integrate import (
-    EventSpec, _KSSegment, detect_I_crossing, detect_syzygy, integrate, integrate_regularized,
-    outer_pericenter_event,
-)
+from lunarbound.integrate import EventSpec, _KSSegment, integrate, integrate_regularized
 from lunarbound.osculate import certify_entry, verify_deviation
 from lunarbound.roots import brentq
+
+from conftest import outer_pericenter_event
 
 
 def bits(x: float) -> bytes:
@@ -87,8 +86,7 @@ class TestAgainstScipy:
 # every brentq call site of the package, by the function that holds it
 SITES = {
     "lunarbound.bounds": {"_euler_quintic_root", "region_constants"},
-    "lunarbound.integrate": {"_locate_events", "_s_of_t", "_run_ks_phase", "detect_I_crossing",
-                             "detect_syzygy", "solve_dense"},
+    "lunarbound.integrate": {"_locate_events", "_s_of_t", "_run_ks_phase", "solve_dense"},
     "lunarbound.osculate": {"_osc_exit_time", "qualified_window"},
 }
 
@@ -117,15 +115,12 @@ def test_recorded_calls_at_every_site_bitwise(recorded, appendix_chain):
     # bounds: the Euler quintic and the strip budget
     compute_chain(MassParams(0.7, 1.3, 1.0), -0.5, 0.2)
 
-    # integrate: event polishing and post-hoc crossings
+    # integrate: event polishing
     mp = MassParams(1 / 3, 1 / 3, 1 / 3)
     st = JacobiState(xi1=[0.3, 0, 0], dxi1=[0, math.sqrt(mp.mu / 0.3), 0],
                      xi2=[9.0, 0, 0], dxi2=[-0.2, 0.15, 0])
     traj = integrate(st, mp, (0.0, 40.0), events=[outer_pericenter_event()])
     assert traj.events
-    I = traj.inertia_nodes()
-    detect_I_crossing(traj, 0.5 * (I.min() + I.max()))
-    assert detect_syzygy(traj)
 
     # integrate: the KS radial minimum and the time inversion of a KS segment
     col = JacobiState(xi1=[1.0, 0, 0], dxi1=[0, 0, 0], xi2=[50.0, 0, 0], dxi2=[0, 0.05, 0])
