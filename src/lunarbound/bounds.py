@@ -17,6 +17,7 @@ The chain is deterministic: identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -423,18 +424,36 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, rtol: float =
 # ---------------------------------------------------------------------------
 # Marchal comparison
 
+# Interval arithmetic on floats: each operation's float result r is stepped
+# one ulp outward, nextafter(r, _DN) for a lower end and nextafter(r, _UP)
+# for an upper end.  Round-to-nearest misses the exact result by at most half
+# an ulp, so the stepped ends enclose it.  math.sqrt is correctly rounded and
+# gets the same step; scaling by 2 is exact and gets none.
+_DN = -math.inf
+_UP = math.inf
+
+DELTA_TOL = 1e-12
+_MAX_BOXES = 200_000
+
+
 @dataclass(frozen=True)
 class MarchalComparison:
     """Constants of Marchal's rho-acceleration method, for comparison.
 
     phi(lam, gamma) with lam = r/rho and gamma the angle between the Jacobi
-    vectors is the (normalized) radial attraction factor; its minimum delta
-    over the admissible (lam, gamma) range gives rho_M = c_J2^2/(M delta) and
-    I_M = alpha1 c_r^2 + alpha2 rho_M^2, above which rho must decelerate.
-    Since delta < 1, the pericenter route's I** sits strictly below I_M.
+    vectors is the (normalized) radial attraction factor; its minimum over
+    the admissible (lam, gamma) range bounds the attraction from below, and
+    delta, a certified lower bound of that minimum, gives
+    rho_M = c_J2^2/(M delta) and I_M = alpha1 c_r^2 + alpha2 rho_M^2, above
+    which rho must decelerate.  delta_upper is a value of phi in the range,
+    so the minimum lies in [delta, delta_upper]; boxes counts the boxes the
+    branch-and-bound enclosed.  Since delta < 1, the pericenter route's I**
+    sits strictly below I_M.
     """
 
     delta: float
+    delta_upper: float
+    boxes: int
     rho_M: float
     I_M: float
     lam_max: float
@@ -449,14 +468,180 @@ def marchal_phi(mp: MassParams, lam, gamma):
     return t1 + t2
 
 
-def marchal_comparison(rc: RegionConstants, mp: MassParams, grid: int = 512) -> MarchalComparison:
-    """delta = min phi over lam in [0, lam_max] x gamma in [0, pi], by dense
-    grid plus golden refinement along each axis.
+def _term_box(w, m, l0, l1, c0, c1, s0, s1):
+    """Enclosures for one term t = w (1 + a c) D^(-3/2) of phi, with a = m lam
+    and D = 1 + 2 a c + a^2, over lam in [l0, l1] (l0 >= 0), c in [c0, c1].
+
+    Returns (t0, t1, rp0, rp1, rq0, rq1): t and the factors D^(-5/2) P and
+    D^(-5/2) Q of its derivatives, dt/dlam = -w m D^(-5/2) P and
+    dt/dc = w m lam D^(-5/2) Q, where P = 2c(1 + a^2) + a(3 + c^2) and
+    Q = a^2 - a c - 2.  [s0, s1] encloses 3 + c^2.
+    """
+    nx = math.nextafter
+    a0 = max(nx(m * l0, _DN), 0.0)
+    a1 = nx(m * l1, _UP)
+    ac0 = nx(c0 * (a1 if c0 < 0.0 else a0), _DN)
+    ac1 = nx(c1 * (a0 if c1 < 0.0 else a1), _UP)
+    aa0 = nx(a0 * a0, _DN)
+    aa1 = nx(a1 * a1, _UP)
+    u0 = nx(1.0 + ac0, _DN)
+    u1 = nx(1.0 + ac1, _UP)
+    # D = u + a c + a^2 >= (1 - a)^2 > 0, since a <= lam_max < 1
+    d0 = nx(nx(u0 + ac0, _DN) + aa0, _DN)
+    d1 = nx(nx(u1 + ac1, _UP) + aa1, _UP)
+    # D^(-3/2) = 1/(D sqrt D) falls as D grows
+    q0 = nx(1.0 / nx(d1 * nx(math.sqrt(d1), _UP), _UP), _DN)
+    q1 = nx(1.0 / nx(d0 * nx(math.sqrt(d0), _DN), _DN), _UP)
+    t0 = nx(nx(w * u0, _DN) * q0, _DN)
+    t1 = nx(nx(w * u1, _UP) * q1, _UP)
+    r0 = nx(q0 / d1, _DN)
+    r1 = nx(q1 / d0, _UP)
+    e0 = nx(1.0 + aa0, _DN)
+    e1 = nx(1.0 + aa1, _UP)
+    p0 = nx(nx(2.0 * c0 * (e1 if c0 < 0.0 else e0), _DN) + nx(a0 * s0, _DN), _DN)
+    p1 = nx(nx(2.0 * c1 * (e0 if c1 < 0.0 else e1), _UP) + nx(a1 * s1, _UP), _UP)
+    g0 = nx(nx(aa0 - ac1, _DN) - 2.0, _DN)
+    g1 = nx(nx(aa1 - ac0, _UP) - 2.0, _UP)
+    return (
+        t0, t1,
+        nx(p0 * (r1 if p0 < 0.0 else r0), _DN), nx(p1 * (r0 if p1 < 0.0 else r1), _UP),
+        nx(g0 * (r1 if g0 < 0.0 else r0), _DN), nx(g1 * (r0 if g1 < 0.0 else r1), _UP),
+    )
+
+
+def _phi_box(mu1, mu2, l0, l1, c0, c1):
+    """Outward-rounded enclosures of phi, dphi/dlam and dphi/dc over the box
+    lam in [l0, l1], c = cos(gamma) in [c0, c1], in one pass.
+
+    phi(lam, c) = t(mu1, mu2, c) + t(mu2, mu1, -c) with t as in _term_box.
+    Returns (f0, f1, gl0, gl1, gc0, gc1).
+    """
+    nx = math.nextafter
+    if c0 >= 0.0:
+        s0, s1 = c0 * c0, c1 * c1
+    elif c1 <= 0.0:
+        s0, s1 = c1 * c1, c0 * c0
+    else:
+        s0, s1 = 0.0, max(c0 * c0, c1 * c1)
+    s0 = nx(3.0 + nx(s0, _DN), _DN)
+    s1 = nx(3.0 + nx(s1, _UP), _UP)
+    t0, t1, p0, p1, g0, g1 = _term_box(mu1, mu2, l0, l1, c0, c1, s0, s1)
+    v0, v1, P0, P1, G0, G1 = _term_box(mu2, mu1, l0, l1, -c1, -c0, s0, s1)
+    # dphi/dlam = -k (p + P) and dphi/dc = k lam (g - G), k = mu1 mu2 > 0
+    k0 = nx(mu1 * mu2, _DN)
+    k1 = nx(mu1 * mu2, _UP)
+    h0 = nx(p0 + P0, _DN)
+    h1 = nx(p1 + P1, _UP)
+    z0 = nx(k0 * l0, _DN)
+    z1 = nx(k1 * l1, _UP)
+    y0 = nx(g0 - G1, _DN)
+    y1 = nx(g1 - G0, _UP)
+    return (
+        nx(t0 + v0, _DN), nx(t1 + v1, _UP),
+        -nx(h1 * (k1 if h1 > 0.0 else k0), _UP), -nx(h0 * (k0 if h0 > 0.0 else k1), _DN),
+        nx(y0 * (z1 if y0 < 0.0 else z0), _DN), nx(y1 * (z0 if y1 < 0.0 else z1), _UP),
+    )
+
+
+def _marchal_bnb(mu1: float, mu2: float, lam_edge: float, tol: float = DELTA_TOL):
+    """Certified enclosure of min phi over lam in [0, lam_edge] x c in [-1, 1]
+    by interval branch-and-bound (Moore; Hansen and Walster).
+
+    Each box gets one fused enclosure of phi and its gradient.  Where a
+    gradient component keeps one sign the minimum sits on a face of the box:
+    a box whose face is interior is dropped, one whose face is a domain edge
+    is cut down to it.  Otherwise the box's lower bound is the larger of the
+    natural enclosure and the mean-value form about its midpoint, whose
+    upper end also lowers the incumbent.  The incumbent starts from
+    lam in {0, lam_edge} x c in {-1, 0, 1}; boxes are popped lowest bound
+    first and bisected along the coordinate with the largest width times
+    gradient magnitude, until the lowest open bound is within tol of the
+    incumbent.
+
+    Returns (lower, upper, boxes, open_boxes): min phi lies in
+    [lower, upper], boxes counts the enclosures made, and open_boxes holds
+    (bound, seq, l0, l1, c0, c1, split) for each box still open.
+    """
+    nx = math.nextafter
+    upper = min(_phi_box(mu1, mu2, L, L, c, c)[1]
+                for L in (0.0, lam_edge) for c in (-1.0, 0.0, 1.0))
+    heap = []
+    boxes = 0
+
+    def enclose(l0, l1, c0, c1):
+        nonlocal boxes, upper
+        while True:
+            boxes += 1
+            f0, f1, gl0, gl1, gc0, gc1 = _phi_box(mu1, mu2, l0, l1, c0, c1)
+            if gl0 > 0.0:
+                if l0 > 0.0:
+                    return
+                if l1 > l0:
+                    l1 = l0
+                    continue
+            elif gl1 < 0.0:
+                if l1 < lam_edge:
+                    return
+                if l1 > l0:
+                    l0 = l1
+                    continue
+            if gc0 > 0.0:
+                if c0 > -1.0:
+                    return
+                if c1 > c0:
+                    c1 = c0
+                    continue
+            elif gc1 < 0.0:
+                if c1 < 1.0:
+                    return
+                if c1 > c0:
+                    c0 = c1
+                    continue
+            break
+        lm = 0.5 * (l0 + l1)
+        cm = 0.5 * (c0 + c1)
+        m0, m1 = _phi_box(mu1, mu2, lm, lm, cm, cm)[:2]
+        upper = min(upper, m1)
+        dl0 = nx(l0 - lm, _DN)
+        dl1 = nx(l1 - lm, _UP)
+        dc0 = nx(c0 - cm, _DN)
+        dc1 = nx(c1 - cm, _UP)
+        mv = nx(m0 + nx(min(gl0 * dl1, gl1 * dl0), _DN), _DN)
+        mv = nx(mv + nx(min(gc0 * dc1, gc1 * dc0), _DN), _DN)
+        bound = max(f0, mv)
+        if bound <= upper:
+            split = (l1 - l0) * max(-gl0, gl1) >= (c1 - c0) * max(-gc0, gc1)
+            heapq.heappush(heap, (bound, boxes, l0, l1, c0, c1, split))
+
+    enclose(0.0, lam_edge, -1.0, 1.0)
+    while heap:
+        bound, _, l0, l1, c0, c1, split = heap[0]
+        if upper - bound <= tol:
+            return bound, upper, boxes, heap
+        if boxes > _MAX_BOXES:
+            break
+        heapq.heappop(heap)
+        if split:
+            lm = 0.5 * (l0 + l1)
+            enclose(l0, lm, c0, c1)
+            enclose(lm, l1, c0, c1)
+        else:
+            cm = 0.5 * (c0 + c1)
+            enclose(l0, l1, c0, cm)
+            enclose(l0, l1, cm, c1)
+    raise ArithmeticError(f"phi minimum not enclosed to {tol:g} in {boxes} boxes")
+
+
+def marchal_comparison(rc: RegionConstants, mp: MassParams) -> MarchalComparison:
+    """delta = a certified lower bound of min phi over lam in [0, lam_max] x
+    gamma in [0, pi], by interval branch-and-bound in c = cos(gamma) over
+    [-1, 1], which covers gamma in [0, pi] exactly.
 
     lam_max is the largest r/rho the region I >= I* admits (capped at sigma,
     the component's own separation ratio, which also keeps both denominators
     of phi away from zero).  Minimizing over this superset of the admissible
-    ratios is conservative: it can only lower delta and raise I_M.
+    ratios, widened by one ulp past lam_max, is conservative: it can only
+    lower delta and raise I_M.
     """
     a1, a2 = mp.alpha1, mp.alpha2
     val = (rc.i_star_raw - a1 * rc.c_r**2) / a2
@@ -464,33 +649,13 @@ def marchal_comparison(rc: RegionConstants, mp: MassParams, grid: int = 512) -> 
         lam_max = min(rc.c_r / math.sqrt(val), rc.sigma)
     else:
         lam_max = rc.sigma
-    lams = np.linspace(0.0, lam_max, grid)
-    gammas = np.linspace(0.0, math.pi, grid)
-    vals = marchal_phi(mp, lams[:, None], gammas[None, :])
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    lam0, gam0 = lams[i], gammas[j]
-
-    # refine each coordinate in its grid neighborhood
-    dl = lams[1] - lams[0] if grid > 1 else 0.0
-    dg = gammas[1] - gammas[0] if grid > 1 else 0.0
-    lam_best, gam_best = lam0, gam0
-    for _ in range(2):
-        if dl > 0:
-            lam_best, _ = _golden_min(
-                lambda L: float(marchal_phi(mp, L, gam_best)),
-                max(0.0, lam_best - dl), min(lam_max, lam_best + dl), rtol=1e-12,
-            )
-        if dg > 0:
-            gam_best, _ = _golden_min(
-                lambda G: float(marchal_phi(mp, lam_best, G)),
-                max(0.0, gam_best - dg), min(math.pi, gam_best + dg), rtol=1e-12,
-            )
-    delta = min(float(vals[i, j]), float(marchal_phi(mp, lam_best, gam_best)))
+    delta, delta_upper, boxes, _ = _marchal_bnb(mp.mu1, mp.mu2, math.nextafter(lam_max, _UP))
     if not delta > 0.0:
         raise ValueError("phi minimum not positive; region constants inconsistent")
     rho_M = rc.c_j2**2 / (mp.M * delta)
     I_M = a1 * rc.c_r**2 + a2 * rho_M**2
-    return MarchalComparison(delta=delta, rho_M=rho_M, I_M=I_M, lam_max=lam_max)
+    return MarchalComparison(delta=delta, delta_upper=delta_upper, boxes=boxes,
+                             rho_M=rho_M, I_M=I_M, lam_max=lam_max)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +766,8 @@ class BoundSet:
             "I0": self.i0,
             "marchal": {
                 "delta": self.marchal.delta,
+                "delta_upper": self.marchal.delta_upper,
+                "boxes": self.marchal.boxes,
                 "rho_M": self.marchal.rho_M,
                 "I_M": self.marchal.I_M,
                 "lam_max": self.marchal.lam_max,

@@ -126,8 +126,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    states = sample_initial_conditions(cfg)
-    st = states[args.index]
+    if not 0 <= args.index < cfg.count:
+        raise UsageError(f"--index must lie in [0, {cfg.count}), got {args.index}")
+    (st,) = sample_initial_conditions(cfg, indices=[args.index])
     run = integrate_regularized if cfg.regularize else integrate
     traj = run(st, cfg.far_mp, (0.0, args.t1), rtol=cfg.tol, atol=cfg.tol)
     out_dir = Path(args.out) if args.out else Path(".")

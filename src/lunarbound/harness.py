@@ -22,7 +22,7 @@ import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ __all__ = [
     "canonical_json",
 ]
 
-SCHEMA = "lunar-bound/1"
+SCHEMA = "lunar-bound/2"
 
 
 class SampleError(ValueError):
@@ -420,9 +420,12 @@ def _sampling_window(cfg: ScenarioConfig, level: float):
     return level * cfg.ranges.i_lo_factor, level * cfg.ranges.i_hi_factor
 
 
-def sample_initial_conditions(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -> List[JacobiState]:
+def sample_initial_conditions(cfg: ScenarioConfig, bs: Optional[BoundSet] = None,
+                              indices: Optional[Sequence[int]] = None) -> List[JacobiState]:
     """Draw cfg.count states at the exact (H, J) levels, written in the
-    far-body labeling (cfg.far_mp).
+    far-body labeling (cfg.far_mp); with indices, only the states at those
+    positions.  Each index draws from its own RNG stream, so a state does not
+    depend on which others are drawn.
 
     Residuals |H(state) - H| and |J(state) - J| land at rounding level; the
     test suite pins them below 1e-12 relative.
@@ -432,7 +435,9 @@ def sample_initial_conditions(cfg: ScenarioConfig, bs: Optional[BoundSet] = None
                            lam=cfg.lam, B1=cfg.B1)
     level = cfg.level if cfg.level is not None else bs.i0
     I_lo, I_hi = _sampling_window(cfg, level)
-    return [_sample_one(cfg, bs, I_lo, I_hi, i) for i in range(cfg.count)]
+    if indices is None:
+        indices = range(cfg.count)
+    return [_sample_one(cfg, bs, I_lo, I_hi, i) for i in indices]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lunarbound import bounds as bd
 from lunarbound import kepler as kp
 from lunarbound.core import JacobiState, MassParams, angular_momentum, energy_split, moment_of_inertia, perturbation, perturbation_gradients
 from lunarbound.bounds import (
@@ -322,14 +323,44 @@ class TestI0:
         assert rc2.i_star_raw == pytest.approx(k**3 * rc1.i_star_raw, rel=1e-12)
         assert rc2.i_star_eff == pytest.approx(k**3 * rc1.i_star_eff, rel=1e-12)
         assert i_star_star(rc2, mp2) == pytest.approx(k**3 * i_star_star(rc1, mp_equal), rel=1e-12)
-        mc1 = marchal_comparison(rc1, mp_equal, grid=128)
-        mc2 = marchal_comparison(rc2, mp2, grid=128)
+        mc1 = marchal_comparison(rc1, mp_equal)
+        mc2 = marchal_comparison(rc2, mp2)
         assert mc2.delta == pytest.approx(mc1.delta, rel=1e-10)
         assert mc2.I_M == pytest.approx(k**3 * mc1.I_M, rel=1e-9)
         # the final threshold stays a valid bound but grows super-covariantly
         I0_1, _ = i0(mp_equal, H1, J1)
         I0_2, _ = i0(mp2, H2, J2)
         assert I0_2 >= k**3 * I0_1 * (1 - 1e-9)
+
+
+def _grid_delta(mp, lam_max, grid=512):
+    """The grid estimate of min phi that the branch-and-bound replaced: a
+    grid x grid sweep plus golden refinement along each axis.  It is no
+    lower bound; the tests use it as a reference value."""
+    lams = np.linspace(0.0, lam_max, grid)
+    gammas = np.linspace(0.0, math.pi, grid)
+    vals = marchal_phi(mp, lams[:, None], gammas[None, :])
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    dl, dg = lams[1] - lams[0], gammas[1] - gammas[0]
+    lam_best, gam_best = lams[i], gammas[j]
+    for _ in range(2):
+        lam_best, _ = bd._golden_min(
+            lambda L: float(marchal_phi(mp, L, gam_best)),
+            max(0.0, lam_best - dl), min(lam_max, lam_best + dl), rtol=1e-12,
+        )
+        gam_best, _ = bd._golden_min(
+            lambda G: float(marchal_phi(mp, lam_best, G)),
+            max(0.0, gam_best - dg), min(math.pi, gam_best + dg), rtol=1e-12,
+        )
+    return min(float(vals[i, j]), float(marchal_phi(mp, lam_best, gam_best)))
+
+
+def _phi_c(ctx, mu1, mu2, lam, c):
+    """phi(lam, c = cos gamma) in an mpmath context: the independent oracle."""
+    m1, m2 = ctx.mpf(mu1), ctx.mpf(mu2)
+    t1 = m1 * (1 + m2 * c * lam) / (1 + 2 * m2 * c * lam + (m2 * lam) ** 2) ** 1.5
+    t2 = m2 * (1 - m1 * c * lam) / (1 - 2 * m1 * c * lam + (m1 * lam) ** 2) ** 1.5
+    return t1 + t2
 
 
 class TestMarchalComparison:
@@ -370,7 +401,96 @@ class TestMarchalComparison:
                 J = 0.95 * u_hat / math.sqrt(2.0 * abs(H))
                 rc = region_constants(mp, H, J)
                 i2 = i_star_star(rc, mp)
-                mc = marchal_comparison(rc, mp, grid=128)
+                mc = marchal_comparison(rc, mp)
                 assert i2 < mc.I_M, f"ordering failed for m={m}, H={H}"
                 checked += 1
         assert checked == 250
+
+
+    def test_delta_below_fine_grid_with_edge(self, appendix_chain, mp_equal):
+        # the minimum lies on the edge lam = lam_max at gamma = pi/2; the
+        # grid includes that point
+        mc = appendix_chain.marchal
+        lams = np.linspace(0.0, mc.lam_max, 1201)
+        gammas = np.linspace(0.0, math.pi, 1201)
+        vals = marchal_phi(mp_equal, lams[:, None], gammas[None, :])
+        assert mc.delta <= vals.min()
+
+    def test_delta_enclosure_width(self, appendix_chain):
+        mc = appendix_chain.marchal
+        assert mc.delta <= mc.delta_upper <= mc.delta + bd.DELTA_TOL
+        assert 0 < mc.boxes < 1000
+
+    @pytest.mark.parametrize("masses, H", [(APPENDIX_MASSES, APPENDIX_H), ((0.6, 1.9, 1.1), -0.5)])
+    def test_mpmath_encloses_final_boxes(self, masses, H):
+        iv = pytest.importorskip("mpmath").iv
+        mp = MassParams(*masses)
+        rc = region_constants(mp, H, 0.95 * euler_potential_saddle(mp) / math.sqrt(2.0 * abs(H)))
+        mc = marchal_comparison(rc, mp)
+        mu1, mu2 = mp.mu1, mp.mu2
+        lower, upper, boxes, open_boxes = bd._marchal_bnb(
+            mu1, mu2, math.nextafter(mc.lam_max, math.inf))
+        assert (lower, upper, boxes) == (mc.delta, mc.delta_upper, mc.boxes)
+        assert min(b[0] for b in open_boxes) == lower
+        dps = iv.dps
+        iv.dps = 30
+        try:
+            for bound, _, l0, l1, c0, c1, _ in sorted(open_boxes)[:12]:
+                f0, f1 = bd._phi_box(mu1, mu2, l0, l1, c0, c1)[:2]
+                assert f0 <= bound
+                for lam in (l0, 0.5 * (l0 + l1), l1):
+                    for c in (c0, 0.5 * (c0 + c1), c1):
+                        ref = _phi_c(iv, mu1, mu2, iv.mpf(lam), iv.mpf(c))
+                        assert lower <= bound <= ref.a and ref.b <= f1
+                whole = _phi_c(iv, mu1, mu2, iv.mpf([l0, l1]), iv.mpf([c0, c1]))
+                assert max(f0, whole.a) <= min(f1, whole.b)
+        finally:
+            iv.dps = dps
+
+    def test_gradient_enclosures_hold(self):
+        # the monotonicity test drops boxes on the sign of these enclosures
+        mpm = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(808)
+        with mpm.workdps(30):
+            for _ in range(40):
+                mu1 = float(rng.uniform(0.1, 0.9))
+                mu2 = 1.0 - mu1
+                l0, l1 = sorted(rng.uniform(0.0, 0.5, size=2))
+                c0, c1 = sorted(rng.uniform(-1.0, 1.0, size=2))
+                f0, f1, gl0, gl1, gc0, gc1 = bd._phi_box(mu1, mu2, l0, l1, c0, c1)
+                for lam, c in zip(rng.uniform(l0, l1, size=3), rng.uniform(c0, c1, size=3)):
+                    lam, c = mpm.mpf(float(lam)), mpm.mpf(float(c))
+                    assert f0 <= _phi_c(mpm, mu1, mu2, lam, c) <= f1
+                    assert gl0 <= mpm.diff(lambda x: _phi_c(mpm, mu1, mu2, x, c), lam) <= gl1
+                    assert gc0 <= mpm.diff(lambda x: _phi_c(mpm, mu1, mu2, lam, x), c) <= gc1
+
+    def test_point_enclosures_round_outward(self):
+        # at a point the float result misses phi by about an ulp either
+        # way; only outward rounding keeps phi inside the enclosure
+        mpm = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(909)
+        with mpm.workdps(40):
+            for _ in range(200):
+                mu1 = float(rng.uniform(0.1, 0.9))
+                mu2 = float(rng.uniform(0.1, 0.9))
+                lam, c = float(rng.uniform(0.0, 0.5)), float(rng.uniform(-1.0, 1.0))
+                f0, f1 = bd._phi_box(mu1, mu2, lam, lam, c, c)[:2]
+                assert f0 < f1
+                assert f0 <= _phi_c(mpm, mu1, mu2, mpm.mpf(lam), mpm.mpf(c)) <= f1
+
+    def test_delta_below_grid_reference(self):
+        # the 250 cases of test_random_grid_ordering: the certified delta
+        # sits at or below the grid estimate it replaced, and the appendix
+        # ordering still holds
+        rng = np.random.default_rng(31415)
+        masses = rng.uniform(1.0 / 3.0, 3.0, size=(125, 3))
+        for m in masses:
+            mp = MassParams(*m)
+            u_hat = euler_potential_saddle(mp)
+            for H in (-0.1, -0.5):
+                J = 0.95 * u_hat / math.sqrt(2.0 * abs(H))
+                rc = region_constants(mp, H, J)
+                mc = marchal_comparison(rc, mp)
+                assert mc.delta <= _grid_delta(mp, mc.lam_max), f"m={m}, H={H}"
+                assert mc.delta <= mc.delta_upper <= mc.delta + bd.DELTA_TOL
+                assert i_star_star(rc, mp) < mc.I_M

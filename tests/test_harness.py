@@ -22,6 +22,7 @@ from lunarbound.harness import (
     sample_initial_conditions,
 )
 from lunarbound import cli
+from lunarbound.integrate import integrate
 from lunarbound import kepler as kp
 
 
@@ -273,7 +274,7 @@ class TestSandwichExperimentReport:
         rep = run_sandwich_experiment(cfg, bs=appendix_chain)
         assert rep["aggregate"]["ok"] == rep["aggregate"]["count"] == 2
         assert rep["aggregate"]["violations"] == 0
-        assert rep["schema"] == "lunar-bound/1"
+        assert rep["schema"] == "lunar-bound/2"
         # serializes canonically
         text1 = canonical_json(rep)
         rep2 = run_sandwich_experiment(cfg, bs=appendix_chain)
@@ -340,7 +341,7 @@ class TestCli:
                     "A1", "B1", "R", "lambda", "lambda_prime", "R_bar_lambda",
                     "R_lambda", "I0", "marchal", "sigma"):
             assert key in data, key
-        assert set(data["marchal"]) >= {"delta", "rho_M", "I_M"}
+        assert set(data["marchal"]) >= {"delta", "delta_upper", "boxes", "rho_M", "I_M"}
 
     def test_sample_subcommand(self, tmp_path, capsys):
         cfg = appendix_cfg(count=3, seed=2, level=18.0)
@@ -400,6 +401,29 @@ class TestCli:
         assert code == 0
         assert (out_dir / "trajectory.csv").exists()
         assert (out_dir / "events.csv").exists()
+
+    @pytest.mark.parametrize("index", ["2", "-1"])
+    def test_simulate_index_out_of_range_exit_two(self, tmp_path, capsys, index):
+        cfg = appendix_cfg(count=2, seed=4, level=18.0)
+        p = tmp_path / "cfg.json"
+        p.write_text(canonical_json(cfg.to_dict()))
+        code = self.run_cli("--config", str(p), "--out", str(tmp_path / "sim"),
+                            "simulate", "--t1", "1.0", "--index", index)
+        assert code == 2
+        assert "--index must lie in [0, 2)" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    def test_simulate_index_draws_the_batch_state(self, tmp_path, capsys):
+        # one state drawn alone equals the same index of the full batch
+        cfg = appendix_cfg(count=3, seed=4, level=18.0)
+        p = tmp_path / "cfg.json"
+        p.write_text(canonical_json(cfg.to_dict()))
+        code = self.run_cli("--config", str(p), "--out", str(tmp_path / "sim"),
+                            "simulate", "--t1", "2.0", "--index", "2")
+        assert code == 0
+        st = sample_initial_conditions(cfg)[2]
+        integrate(st, cfg.far_mp, (0.0, 2.0), rtol=cfg.tol, atol=cfg.tol).to_csv(tmp_path / "ref.csv")
+        assert (tmp_path / "sim" / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_verify_sandwich_cli(self, tmp_path, capsys):
         cfg = appendix_cfg(count=1, seed=6)
