@@ -445,9 +445,11 @@ class MarchalComparison:
     the admissible (lam, gamma) range bounds the attraction from below, and
     delta, a certified lower bound of that minimum, gives
     rho_M = c_J2^2/(M delta) and I_M = alpha1 c_r^2 + alpha2 rho_M^2, above
-    which rho must decelerate.  delta_upper is a value of phi in the range,
-    so the minimum lies in [delta, delta_upper]; boxes counts the boxes the
-    branch-and-bound enclosed.  Since delta < 1, the pericenter route's I**
+    which rho must decelerate.  delta_upper is an upper bound of phi at a
+    point of [0, lam_edge] x [-1, 1] in (lam, cos gamma), with lam_edge one
+    ulp past lam_max, so the minimum over that range lies in
+    [delta, delta_upper]; boxes counts the boxes the branch-and-bound
+    enclosed.  Since delta < 1, the pericenter route's I**
     sits strictly below I_M.
     """
 
@@ -543,7 +545,7 @@ def _phi_box(mu1, mu2, l0, l1, c0, c1):
     )
 
 
-def _marchal_bnb(mu1: float, mu2: float, lam_edge: float, tol: float = DELTA_TOL):
+def _marchal_bnb(mu1: float, mu2: float, lam_edge: float):
     """Certified enclosure of min phi over lam in [0, lam_edge] x c in [-1, 1]
     by interval branch-and-bound (Moore; Hansen and Walster).
 
@@ -555,8 +557,8 @@ def _marchal_bnb(mu1: float, mu2: float, lam_edge: float, tol: float = DELTA_TOL
     upper end also lowers the incumbent.  The incumbent starts from
     lam in {0, lam_edge} x c in {-1, 0, 1}; boxes are popped lowest bound
     first and bisected along the coordinate with the largest width times
-    gradient magnitude, until the lowest open bound is within tol of the
-    incumbent.
+    gradient magnitude, until the lowest open bound is within DELTA_TOL of
+    the incumbent.
 
     Returns (lower, upper, boxes, open_boxes): min phi lies in
     [lower, upper], boxes counts the enclosures made, and open_boxes holds
@@ -616,7 +618,7 @@ def _marchal_bnb(mu1: float, mu2: float, lam_edge: float, tol: float = DELTA_TOL
     enclose(0.0, lam_edge, -1.0, 1.0)
     while heap:
         bound, _, l0, l1, c0, c1, split = heap[0]
-        if upper - bound <= tol:
+        if upper - bound <= DELTA_TOL:
             return bound, upper, boxes, heap
         if boxes > _MAX_BOXES:
             break
@@ -629,7 +631,7 @@ def _marchal_bnb(mu1: float, mu2: float, lam_edge: float, tol: float = DELTA_TOL
             cm = 0.5 * (c0 + c1)
             enclose(l0, l1, c0, cm)
             enclose(l0, l1, cm, c1)
-    raise ArithmeticError(f"phi minimum not enclosed to {tol:g} in {boxes} boxes")
+    raise ArithmeticError(f"phi minimum not enclosed to {DELTA_TOL:g} in {boxes} boxes")
 
 
 def marchal_comparison(rc: RegionConstants, mp: MassParams) -> MarchalComparison:
