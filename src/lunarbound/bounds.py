@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -191,15 +191,12 @@ class RegionConstants:
     c_r caps the binary separation, c_j2 the outer angular momentum
     (|J2| <= alpha2 c_j2), and c_g / c_g2 are the Taylor-remainder constants
     with |g| <= c_g r^2/rho^3 and |g_xi2| <= c_g2 r^2/rho^4 for r <= sigma rho.
-    c_g1 (|g_xi1| <= c_g1 r/rho^3) is carried along for completeness; nothing
-    downstream uses it.
     """
 
     sigma: float
     c_r: float
     c_j2: float
     c_g: float
-    c_g1: float
     c_g2: float
     rho_min: float
     i_star_raw: float
@@ -217,9 +214,8 @@ def _taylor_constants(mp: MassParams, sigma: float):
     base = mp.m3 * mp.alpha1
     one = 1.0 - sigma
     c_g = 2.0 * base / one**3
-    c_g1 = 4.0 * base / one**3
     c_g2 = 12.0 * base / one**4
-    return c_g, c_g1, c_g2
+    return c_g, c_g2
 
 
 def region_constants(
@@ -250,7 +246,7 @@ def region_constants(
     if not 0.0 < sigma <= 0.5:
         raise ValueError("sigma must lie in (0, 1/2]")
     absH = abs(H)
-    c_g, c_g1, c_g2 = _taylor_constants(mp, sigma)
+    c_g, c_g2 = _taylor_constants(mp, sigma)
     c_r = 2.0 * mp.beta1 / absH
     c_j2 = (abs(J) + 2.0 * mp.beta1 * math.sqrt(mp.alpha1 / absH)) / mp.alpha2
 
@@ -278,7 +274,6 @@ def region_constants(
         c_r=c_r,
         c_j2=c_j2,
         c_g=c_g,
-        c_g1=c_g1,
         c_g2=c_g2,
         rho_min=rho_min,
         i_star_raw=raw,
@@ -364,11 +359,46 @@ class StripConstants:
     R_lambda: float
 
 
+LAMBDA_CAP = 1.0 - 1e-9
+
+
+def _lambda_star(rc, dc, mp, R):
+    """The exact minimizer of R_lambda over lam in (0, LAMBDA_CAP].
+
+    With K = alpha1 c_r^2, C = alpha2^2 A1^2 and L = 2 alpha2 A1 + 4K,
+    strip_and_main gives R_lambda(lam) = max(g, h) + 2 alpha2 A1 with
+      g(lam) = max(R, L + lam) + lam, rising with slope >= 1, and
+      h(lam) = K + C/lam + lam, convex, slope 1 - C/lam^2 < 1, least at
+               lam = sqrt(C) = alpha2 A1.
+    h - g strictly falls, so R_lambda follows h up to the crossing
+    lam_c = min(C/(R - K), lam_L), where K + C/lam meets R or L + lam, and g
+    after it.  lam_L = 2C/((L - K) + sqrt((L - K)^2 + 4C)) is the positive
+    root of K + C/lam = L + lam (R >= 4K puts R - K > 0).  So R_lambda
+    falls until lam* = min(alpha2 A1, lam_c) and rises after it; when lam*
+    lies past the cap, R_lambda still falls there and the cap is the
+    minimizer.  Any lam > 0 gives a valid I0, so lam* needs no certificate.
+
+    When C overflows, R_lambda is inf at every lam and the cap is returned
+    (inf/inf would give a NaN, which min() ignores or keeps by argument
+    order); compute_chain then reports the overflow.
+    """
+    K = mp.alpha1 * rc.c_r**2
+    C = mp.alpha2 * (mp.alpha2 * (dc.A1 * dc.A1))
+    if not math.isfinite(C):
+        return LAMBDA_CAP
+    # lam_L = 2q/(1 + sqrt(1 + 4q/d)) with d = L - K and q = C/d <= alpha2 A1/2:
+    # no intermediate overflows while C is finite
+    d = 2.0 * mp.alpha2 * dc.A1 + 3.0 * K
+    q = C / d
+    lam_L = 2.0 * q / (1.0 + math.sqrt(1.0 + 4.0 * q / d))
+    return min(mp.alpha2 * dc.A1, C / (R - K), lam_L, LAMBDA_CAP)
+
+
 def strip_and_main(
     rc: RegionConstants,
     dc: DeviationConstants,
     mp: MassParams,
-    lam: float,
+    lam: Optional[float],
     i_star2: Optional[float] = None,
 ) -> StripConstants:
     """R = max{R_bar, I**, 4 alpha1 c_r^2}; then for the strip parameter
@@ -381,13 +411,16 @@ def strip_and_main(
     strip is forced below its floor, hence down the ladder.  Where
     alpha2^2 A1^2/lam exceeds the double range, R_bar_lambda and R_lambda
     come out inf; compute_chain reports that as ChainOverflowError.
+    lam = None takes the minimizer lam* of R_lambda (see _lambda_star).
     """
-    if not lam > 0.0:
-        raise ValueError("lambda must be positive")
     if i_star2 is None:
         i_star2 = i_star_star(rc, mp)
     a1, a2 = mp.alpha1, mp.alpha2
     R = max(dc.R_bar, i_star2, 4.0 * a1 * rc.c_r**2)
+    if lam is None:
+        lam = _lambda_star(rc, dc, mp, R)
+    if not lam > 0.0:
+        raise ValueError("lambda must be positive")
     lambda_prime = 2.0 * a2 * dc.A1 + lam
     R_bar_lambda = max(
         R,
@@ -399,26 +432,6 @@ def strip_and_main(
         R=R, lam=lam, lambda_prime=lambda_prime,
         R_bar_lambda=R_bar_lambda, R_lambda=R_lambda,
     )
-
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, rtol: float = 1e-6):
-    """Golden-section minimizer (deterministic, derivative-free)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rtol * max(abs(a), abs(b), 1e-12):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc <= fd else d
-    return x, min(fc, fd)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +693,6 @@ class BoundSet:
     c_r: float
     c_j2: float
     c_g: float
-    c_g1: float
     c_g2: float
     rho_min: float
     i_star: float
@@ -748,7 +760,6 @@ class BoundSet:
             "c_r": self.c_r,
             "c_J2": self.c_j2,
             "c_g": self.c_g,
-            "c_g1": self.c_g1,
             "c_g2": self.c_g2,
             "rho_min": self.rho_min,
             "I_star": self.i_star,
@@ -777,23 +788,6 @@ class BoundSet:
         }
 
 
-def _minimize_r_lambda(rc, dc, mp, i_star2):
-    """min over lam in (0,1): 64 log-spaced samples, then golden refinement."""
-    def r_of(lam):
-        return strip_and_main(rc, dc, mp, lam, i_star2=i_star2).R_lambda
-
-    # plain floats: an overflowing lambda gives inf quietly, not a numpy warning
-    lams = np.logspace(-6.0, math.log10(1.0 - 1e-9), 64).tolist()
-    vals = [r_of(L) for L in lams]
-    k = int(np.argmin(vals))
-    lo = lams[max(k - 1, 0)]
-    hi = lams[min(k + 1, len(lams) - 1)]
-    lam_best, _ = _golden_min(r_of, lo, hi, rtol=1e-6)
-    if r_of(lam_best) > vals[k]:
-        lam_best = lams[k]
-    return lam_best
-
-
 def compute_chain(
     mp: MassParams,
     H: float,
@@ -805,21 +799,19 @@ def compute_chain(
 ) -> BoundSet:
     """Run the whole chain for one far-body choice.
 
-    lam = None minimizes R_lambda over (0, 1); an explicit lam pins it.
+    lam = None takes lam* = min(alpha2 A1, C/(R - K), lam_L, 1 - 1e-9), the
+    exact minimizer of R_lambda over (0, 1 - 1e-9] (see _lambda_star); an
+    explicit lam pins it.
     Raises ChainOverflowError when A1 or R_lambda exceeds the double range.
     """
     mpk = mp.relabeled(far_body)
     rc = region_constants(mpk, H, J, sigma=sigma)
     i2 = i_star_star(rc, mpk)
     dc = deviation_constants(rc, mpk, B1=B1)
-    if lam is None:
-        lam_used = _minimize_r_lambda(rc, dc, mpk, i2)
-    else:
-        lam_used = lam
-    sc = strip_and_main(rc, dc, mpk, lam_used, i_star2=i2)
+    sc = strip_and_main(rc, dc, mpk, lam, i_star2=i2)
     if not math.isfinite(sc.R_lambda):
         raise ChainOverflowError(
-            "R_lambda", f"alpha2^2 A1^2/lambda with A1 = {dc.A1:.6g}, lambda = {lam_used:.6g}"
+            "R_lambda", f"alpha2^2 A1^2/lambda with A1 = {dc.A1:.6g}, lambda = {sc.lam:.6g}"
         )
     mc = marchal_comparison(rc, mpk)
     return BoundSet(
@@ -831,7 +823,6 @@ def compute_chain(
         c_r=rc.c_r,
         c_j2=rc.c_j2,
         c_g=rc.c_g,
-        c_g1=rc.c_g1,
         c_g2=rc.c_g2,
         rho_min=rc.rho_min,
         i_star=rc.i_star_raw,

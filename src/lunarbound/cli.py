@@ -16,6 +16,7 @@ from pathlib import Path
 from .bounds import ChainOverflowError, i0
 from .core import angular_momentum, energy_split, moment_of_inertia
 from .harness import (
+    SCHEMA,
     ScenarioConfig,
     canonical_json,
     run_appendix_scenario,
@@ -79,6 +80,7 @@ def _cmd_bounds(args) -> int:
     I0_val, bs = i0(cfg.mp, cfg.H, cfg.J_mag, lam=cfg.lam, B1=cfg.B1)
     out = bs.to_dict()
     out["I0_max_over_far_bodies"] = I0_val
+    out["schema"] = SCHEMA
     _emit(out, args, "bounds.json")
     return 0
 

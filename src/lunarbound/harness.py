@@ -49,7 +49,7 @@ __all__ = [
     "canonical_json",
 ]
 
-SCHEMA = "lunar-bound/2"
+SCHEMA = "lunar-bound/3"
 
 
 class SampleError(ValueError):

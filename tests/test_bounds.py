@@ -2,6 +2,7 @@
 strip constants, the final threshold, and the monotonicity-method comparison."""
 
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -112,12 +113,10 @@ class TestRegionConstants:
             r = frac[i] * rc.sigma * rho[i]
             js = JacobiState(xi1=r * u1[i], dxi1=[0, 0, 0], xi2=rho[i] * u2[i], dxi2=[0, 0, 0])
             g = abs(perturbation(js, mp_equal))
-            g1, g2 = perturbation_gradients(js, mp_equal)
+            _, g2 = perturbation_gradients(js, mp_equal)
             if g > rc.c_g * r**2 / rho[i] ** 3:
                 viol += 1
             if np.linalg.norm(g2) > rc.c_g2 * r**2 / rho[i] ** 4:
-                viol += 1
-            if np.linalg.norm(g1) > rc.c_g1 * r / rho[i] ** 3:
                 viol += 1
         assert viol == 0
 
@@ -254,6 +253,45 @@ class TestStripsAndMain:
         level3 = 10.0 * bs3.R
         assert bs3.rho_bar(level3) == math.sqrt((level3 - mp.alpha1 * bs3.c_r**2) / mp.alpha2)
 
+    @pytest.mark.parametrize(
+        "masses, H, J, far_body, B1, interior",
+        [
+            (APPENDIX_MASSES, APPENDIX_H, APPENDIX_J, 3, None, False),
+            # lam* = lam_L, where K + C/lam meets L + lam
+            ((0.2914272686368355, 6.910083170235628, 0.026493682808177883),
+             -23.569182378184216, 0.11811539905572088, 2, None, True),
+            # lam* = C/(R - K), where K + C/lam meets R
+            ((0.018690343227690694, 0.4951791224941443, 6.651005092898708),
+             -49.75708556162991, 0.005406138754664914, 3, None, True),
+            ((1.0, 1.0, 1.0), -50.0, 0.0, 3, 1.0, True),
+            # C = 5.8e307 is finite but (L - K)^2 is not: the textbook root
+            # formula gives lam_L = 0 here
+            ((1.0, 1.0, 3.0), -0.5, 0.0, 3, 77.2, False),
+        ],
+    )
+    def test_lambda_star_is_the_minimum(self, masses, H, J, far_body, B1, interior, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bd, "strip_and_main", lambda *a, **kw: calls.append(1) or strip_and_main(*a, **kw))
+        mp = MassParams(*masses)
+        bs = compute_chain(mp, H, J, far_body=far_body, B1=B1)
+        assert len(calls) == 1
+        assert (bs.lam < 1.0 - 1e-9) == interior
+        if not interior:
+            assert bs.lam == 1.0 - 1e-9
+        mpk = mp.relabeled(far_body)
+        rc = region_constants(mpk, H, J)
+        dc = deviation_constants(rc, mpk, B1=B1)
+        i2 = i_star_star(rc, mpk)
+
+        def r_lambda(lam):
+            return strip_and_main(rc, dc, mpk, lam, i_star2=i2).R_lambda
+
+        for lam in np.logspace(-6.0, math.log10(1.0 - 1e-9), 2001).tolist():
+            assert bs.i0 <= r_lambda(lam), lam
+        assert bs.i0 <= r_lambda(bs.lam * (1.0 - 1e-9))
+        if interior:
+            assert bs.i0 <= r_lambda(bs.lam * (1.0 + 1e-9))
+
     def test_strip_ceiling_exceeds_floor(self, appendix_chain):
         bs = appendix_chain
         mp = bs.mp
@@ -333,6 +371,26 @@ class TestI0:
         assert I0_2 >= k**3 * I0_1 * (1 - 1e-9)
 
 
+def _golden_min(f: Callable[[float], float], lo: float, hi: float, rtol: float = 1e-6):
+    """Golden-section minimizer (deterministic, derivative-free)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > rtol * max(abs(a), abs(b), 1e-12):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = c if fc <= fd else d
+    return x, min(fc, fd)
+
+
 def _grid_delta(mp, lam_max, grid=512):
     """The grid estimate of min phi that the branch-and-bound replaced: a
     grid x grid sweep plus golden refinement along each axis.  It is no
@@ -344,11 +402,11 @@ def _grid_delta(mp, lam_max, grid=512):
     dl, dg = lams[1] - lams[0], gammas[1] - gammas[0]
     lam_best, gam_best = lams[i], gammas[j]
     for _ in range(2):
-        lam_best, _ = bd._golden_min(
+        lam_best, _ = _golden_min(
             lambda L: float(marchal_phi(mp, L, gam_best)),
             max(0.0, lam_best - dl), min(lam_max, lam_best + dl), rtol=1e-12,
         )
-        gam_best, _ = bd._golden_min(
+        gam_best, _ = _golden_min(
             lambda G: float(marchal_phi(mp, lam_best, G)),
             max(0.0, gam_best - dg), min(math.pi, gam_best + dg), rtol=1e-12,
         )

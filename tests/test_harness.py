@@ -13,6 +13,7 @@ from lunarbound.harness import (
     APPENDIX_H,
     APPENDIX_J,
     APPENDIX_MASSES,
+    SCHEMA,
     SamplerRanges,
     ScenarioConfig,
     canonical_json,
@@ -274,7 +275,7 @@ class TestSandwichExperimentReport:
         rep = run_sandwich_experiment(cfg, bs=appendix_chain)
         assert rep["aggregate"]["ok"] == rep["aggregate"]["count"] == 2
         assert rep["aggregate"]["violations"] == 0
-        assert rep["schema"] == "lunar-bound/2"
+        assert rep["schema"] == "lunar-bound/3"
         # serializes canonically
         text1 = canonical_json(rep)
         rep2 = run_sandwich_experiment(cfg, bs=appendix_chain)
@@ -342,6 +343,8 @@ class TestCli:
                     "R_lambda", "I0", "marchal", "sigma"):
             assert key in data, key
         assert set(data["marchal"]) >= {"delta", "delta_upper", "boxes", "rho_M", "I_M"}
+        assert data["schema"] == SCHEMA
+        assert "c_g1" not in data
 
     def test_sample_subcommand(self, tmp_path, capsys):
         cfg = appendix_cfg(count=3, seed=2, level=18.0)
