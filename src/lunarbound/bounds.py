@@ -241,6 +241,8 @@ def region_constants(
                bounds pointwise-checkable.  The raw i_star is kept alongside;
                it is the honest splitting threshold.
     """
+    # plain floats, so that the chain overflows to inf without a numpy warning
+    H, J = float(H), float(J)
     if not H < 0.0:
         raise ValueError("H must be negative")
     if not 0.0 < sigma <= 0.5:

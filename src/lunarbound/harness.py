@@ -123,14 +123,6 @@ class SamplerRanges:
     i_lo_factor: float = 1.0
     i_hi_factor: float = 10.0
 
-    def to_dict(self):
-        return {
-            "a1_frac": list(self.a1_frac),
-            "e1": list(self.e1),
-            "i_lo_factor": self.i_lo_factor,
-            "i_hi_factor": self.i_hi_factor,
-        }
-
 
 _CONFIG_KEYS = {
     "masses", "H", "J", "far_body", "sampler", "level", "lambda", "B1", "tol",

@@ -12,14 +12,16 @@ that we control the step budget, event localization and the coordinate
 switches of the regularized path.  Backward time is first class: pass
 t1 < t0.
 
-Event functions take (t, y), with y the flat state in JacobiState.as_vector
-layout, and are evaluated on the state at the end of each accepted step.
-A step keeps its stages only as a small packed block; the dense
-interpolant (three extra RHS stages) is built from it the first time a
-dense-output query or an event search reads the step.  The root of an
-event is polished on that interpolant with Brent's method, so event times
-are good to ~1e-12 relative, and a JacobiState is built only for an event
-that is found.
+One physical-time step loop (run_steps) serves the three-body field and
+any small ODE on lists of floats, such as the radial sandwich pair of
+osculate.  Event functions take (t, y), with y the flat state (for the
+three-body field in JacobiState.as_vector layout), and are evaluated on
+the state at the end of each accepted step.  A step keeps its stages only
+as a small packed block; the dense interpolant (three extra RHS stages) is
+built from it the first time a dense-output query or an event search reads
+the step.  The root of an event is polished on that interpolant with
+Brent's method, so event times are good to ~1e-12 relative; an Event keeps
+the flat state at its root.
 
 Collisions of the inner binary can be crossed by switching the short Jacobi
 vector to Kustaanheimo-Stiefel variables with the time rescaling dt = r ds
@@ -51,8 +53,7 @@ __all__ = [
     "EventSpec",
     "Event",
     "Trajectory",
-    "DenseRun",
-    "solve_dense",
+    "run_steps",
     "integrate",
     "integrate_regularized",
 ]
@@ -86,10 +87,10 @@ class IntegrationSingularityError(RuntimeError):
 class EventSpec:
     """Scalar event g(t, y) with a sign-change direction.
 
-    y is the flat state in JacobiState.as_vector layout, [xi1, xi2, dxi1,
-    dxi2]: a list of floats at step ends, a numpy array on the dense
-    output.  direction +1 fires on -> +, -1 on + -> -, 0 on both.  Terminal
-    events stop the integration at the root.
+    y is the flat state, for the three-body field in JacobiState.as_vector
+    layout [xi1, xi2, dxi1, dxi2]: a list of floats at step ends, a numpy
+    array on the dense output.  direction +1 fires on -> +, -1 on + -> -,
+    0 on both.  Terminal events stop the integration at the root.
     """
 
     name: str
@@ -101,10 +102,16 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class Event:
+    """An event at time t, with y the flat state there (a list of floats)."""
+
     t: float
     kind: str
     payload: dict
-    state: JacobiState
+    y: list
+
+    @property
+    def state(self) -> JacobiState:
+        return JacobiState.from_vector(self.y)
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +474,12 @@ class _LazyDop853:
         self._block, self._interp = block, None
 
     @property
-    def t_min(self) -> float:
+    def t_lo(self) -> float:
         return min(self.t_old, self.t)
 
     @property
-    def t_max(self) -> float:
+    def t_hi(self) -> float:
         return max(self.t_old, self.t)
-
-    t_lo, t_hi = t_min, t_max
 
     def __call__(self, t) -> np.ndarray:
         interp = self._interp
@@ -500,8 +505,8 @@ class _KSSegment:
 
     def __init__(self, interp, t_lo, t_hi):
         self.interp = interp
-        self.s_lo = min(interp.t_min, interp.t_max)
-        self.s_hi = max(interp.t_min, interp.t_max)
+        self.s_lo = interp.t_lo
+        self.s_hi = interp.t_hi
         self.t_lo = min(t_lo, t_hi)
         self.t_hi = max(t_lo, t_hi)
 
@@ -538,51 +543,6 @@ class DenseSolution:
         if t > seg.t_hi and idx + 1 < len(self._ordered):
             seg = self._ordered[idx + 1]
         return seg.state_vector(t)
-
-
-@dataclass
-class DenseRun:
-    """A solve_dense result.  status is "completed" at the span's end,
-    "event" at the event's root, or "failed" on a step size underflow;
-    t_end is that time (the last accepted one on a failure)."""
-
-    dense: DenseSolution
-    t_end: float
-    status: str
-
-
-_EVENT_TOL = 4 * np.finfo(float).eps
-
-
-def solve_dense(fun, span: Tuple[float, float], y0, rtol: float, atol: float,
-                event: EventSpec) -> DenseRun:
-    """Dense DOP853 solution of y' = fun(t, y) over span = (t0, t1), for a
-    small system with fun on lists of floats, stopped at the first root of
-    ``event`` in its direction.
-
-    The event follows scipy.integrate.solve_ivp: a step crosses when its
-    values at the step's ends reach zero from the right side (zero counts
-    on both ends), and the root is polished on the step's interpolant with Brent's
-    method at xtol = rtol = 4 eps.  A step size underflow ends the run
-    early; it does not raise.
-    """
-    t0, t1 = span
-    solver = DOP853(fun, t0, y0, t1, rtol=rtol, atol=atol)
-    segments: list = []
-    g = event.func(t0, solver.y)
-    while solver.status == "running":
-        if solver.step() is not None:
-            return DenseRun(DenseSolution(segments), solver.t, "failed")
-        seg = solver.dense_output()
-        segments.append(seg)
-        g_new = event.func(solver.t, solver.y)
-        up, down = g <= 0.0 <= g_new, g >= 0.0 >= g_new
-        if (up or down) if event.direction == 0 else (up if event.direction > 0 else down):
-            root = brentq(lambda t: event.func(t, seg(t)), solver.t_old, solver.t,
-                          xtol=_EVENT_TOL, rtol=_EVENT_TOL)
-            return DenseRun(DenseSolution(segments), root, "event")
-        g = g_new
-    return DenseRun(DenseSolution(segments), solver.t, "completed")
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +679,10 @@ def _sign_changes(specs, ev_vals, t_now, y_now) -> List[int]:
     return crossed
 
 
-def _locate_events(specs, crossed, t_prev, t_now, seg, state_now, events_out) -> Optional[Event]:
+def _locate_events(specs, crossed, t_prev, t_now, seg, y_now, events_out) -> Optional[Event]:
     """Polish each crossed event's root on the step's dense segment and
     append it to events_out; return the earliest terminal event (in travel
-    order) or None.  state_now is the step-end JacobiState."""
+    order) or None.  y_now is the flat step-end state."""
     stop = None
     sgn = 1.0 if t_now >= t_prev else -1.0
     lo, hi = (t_prev, t_now) if t_prev <= t_now else (t_now, t_prev)
@@ -744,10 +704,10 @@ def _locate_events(specs, crossed, t_prev, t_now, seg, state_now, events_out) ->
         else:
             root = brentq(gfun, lo, hi, xtol=1e-14, rtol=8.881784197001252e-16, maxiter=200)
         if root is None:
-            ev = Event(t=t_now, kind=spec.name, payload=dict(spec.payload), state=state_now)
+            ev = Event(t=t_now, kind=spec.name, payload=dict(spec.payload), y=y_now)
         else:
             ev = Event(t=root, kind=spec.name, payload=dict(spec.payload),
-                       state=JacobiState.from_vector(seg.state_vector(root)))
+                       y=seg.state_vector(root).tolist())
         events_out.append(ev)
         if spec.terminal and (stop is None or sgn * ev.t < sgn * stop.t):
             stop = ev
@@ -755,7 +715,7 @@ def _locate_events(specs, crossed, t_prev, t_now, seg, state_now, events_out) ->
 
 
 # ---------------------------------------------------------------------------
-# Integration: one step loop for physical coordinates
+# Integration: one step loop in physical time
 
 def integrate(
     initial: JacobiState,
@@ -783,18 +743,26 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
                regularize, r_switch) -> Trajectory:
     """Run shared by integrate() and integrate_regularized(): physical
     phases, and with ``regularize`` KS phases below r_switch (by default
-    KS_SWITCH_FRACTION of the binary's natural length)."""
+    KS_SWITCH_FRACTION of the binary's natural length).  A phase that fails
+    on a step size underflow raises IntegrationSingularityError here."""
     t0, t1 = float(span[0]), float(span[1])
     if t0 == t1:
         raise ValueError("empty time span")
     h0, _, _, _ = energy_split(initial, mp)
     J0, _, _ = angular_momentum(initial, mp)
     j0 = float(np.linalg.norm(J0))
-    if regularize and r_switch is None:
-        r_switch = KS_SWITCH_FRACTION * mp.beta1 / abs(h0)
+    specs = list(events)
+    cart_specs = specs
+    if regularize:
+        if r_switch is None:
+            r_switch = KS_SWITCH_FRACTION * mp.beta1 / abs(h0)
+        # terminal guard that hands the run to a KS phase at r = r_switch
+        guard = EventSpec(name=_KS_ENTER,
+                          func=lambda t, y: math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) - r_switch,
+                          direction=-1, terminal=True)
+        cart_specs = specs + [guard]
 
     rhs = make_rhs(mp, kepler_only=kepler_only)
-    specs = list(events)
     y_now = initial.as_vector().tolist()
     ts = array("d", [t0])
     ys = array("d", y_now)
@@ -809,14 +777,16 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
             status = "step_budget_exhausted"
             break
         if mode == "cart":
-            res = _run_cart_phase(
-                rhs, y_now, t_now, t1, rtol, atol, specs, max_steps - n_steps, dense, r_switch,
-            )
+            res = run_steps(rhs, y_now, t_now, t1, rtol, atol, cart_specs, max_steps - n_steps,
+                            dense)
         else:
             res = _run_ks_phase(
                 mp, y_now, t_now, t1, rtol, atol, specs, max_steps - n_steps, dense,
                 KS_EXIT_FACTOR * r_switch, r_switch, kepler_only, 1.0 if t1 > t0 else -1.0,
             )
+        if res.status == "failed":
+            raise IntegrationSingularityError(res.message, t=res.exit_t,
+                                              state=JacobiState.from_vector(res.exit_y))
         ts.extend(res.ts)
         ys.extend(res.ys)
         segments.extend(res.segments)
@@ -825,9 +795,8 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
         if res.status != "switch":
             status = res.status
             break
-        y_now = res.exit_y
-        t_now = res.exit_t
-        mode = res.next_mode
+        t_now, y_now = res.exit_t, res.exit_y
+        mode = "ks" if mode == "cart" else "cart"
 
     return Trajectory(
         mp=mp,
@@ -850,43 +819,41 @@ class _PhaseResult:
     segments: list
     events: list
     n_steps: int
-    status: str          # "completed" | "event" | "step_budget_exhausted" | "switch"
-    next_mode: str       # "cart" | "ks" (meaningful when status == "switch")
-    exit_y: Optional[list] = None
+    status: str          # "completed" | "event" | "step_budget_exhausted" | "switch" | "failed"
+    # where a "switch", "event" or "failed" phase ended (on "failed", at the
+    # last accepted step), and why it failed
     exit_t: Optional[float] = None
+    exit_y: Optional[list] = None
+    message: str = ""
 
 
 _KS_ENTER = "_ks_enter"
 
 
-def _run_cart_phase(rhs, y_start, t_start, t1, rtol, atol, specs, budget, dense,
-                    r_switch) -> _PhaseResult:
-    """Physical-coordinate steps from (t_start, y_start) toward t1.
+def run_steps(fun, y_start, t_start, t1, rtol, atol, specs, budget, dense) -> _PhaseResult:
+    """DOP853 steps of y' = fun(t, y) in physical time from (t_start,
+    y_start) toward t1, with fun and states on lists of floats.
 
     Events are tested on each step-end state; the step's lazy interpolant
     is made only when ``dense`` is set or some event changes sign over the
-    step, and kept only when ``dense`` is set.  With r_switch, a terminal
-    guard at r = r_switch ends the phase with status "switch".
+    step, and kept only when ``dense`` is set.  A terminal event ends the
+    run at its root with status "event", or "switch" when it is the KS
+    guard (kind _KS_ENTER, not reported).  At most ``budget`` steps are
+    taken; a step size underflow ends the run with status "failed".
     """
-    solver = DOP853(rhs, t_start, y_start, t1, rtol=rtol, atol=atol)
-    if r_switch is not None:
-        guard = EventSpec(name=_KS_ENTER,
-                          func=lambda t, y: math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) - r_switch,
-                          direction=-1, terminal=True)
-        specs = specs + [guard]
-    y_prev = solver.y
-    ev_vals = [sp.func(t_start, y_prev) for sp in specs]
+    solver = DOP853(fun, t_start, y_start, t1, rtol=rtol, atol=atol)
+    t_prev, y_prev = t_start, solver.y
+    ev_vals = [sp.func(t_prev, y_prev) for sp in specs]
     ts, ys, segments, events = array("d"), array("d"), [], []
     sgn = 1.0 if t1 > t_start else -1.0
-    t_prev = t_start
     n_steps = 0
     while solver.status == "running":
         if n_steps >= budget:
-            return _PhaseResult(ts, ys, segments, events, n_steps, "step_budget_exhausted", "cart")
+            return _PhaseResult(ts, ys, segments, events, n_steps, "step_budget_exhausted")
         msg = solver.step()
         if solver.status == "failed":
-            raise IntegrationSingularityError(f"integrator failed: {msg}", t=t_prev,
-                                              state=JacobiState.from_vector(y_prev))
+            return _PhaseResult(ts, ys, segments, events, n_steps, "failed", t_prev, y_prev,
+                                f"integrator failed: {msg}")
         n_steps += 1
         t_now = solver.t
         y_now = solver.y
@@ -896,23 +863,19 @@ def _run_cart_phase(rhs, y_start, t_start, t1, rtol, atol, specs, budget, dense,
             segments.append(seg)
         if crossed:
             found: List[Event] = []
-            stop = _locate_events(specs, crossed, t_prev, t_now, seg,
-                                  JacobiState.from_vector(y_now), found)
+            stop = _locate_events(specs, crossed, t_prev, t_now, seg, y_now, found)
             if stop is not None:
                 events.extend(ev for ev in found
                               if ev.kind != _KS_ENTER and sgn * ev.t <= sgn * stop.t)
-                y_stop = stop.state.as_vector().tolist()
                 ts.append(stop.t)
-                ys.extend(y_stop)
-                if stop.kind == _KS_ENTER:
-                    return _PhaseResult(ts, ys, segments, events, n_steps, "switch", "ks",
-                                        y_stop, stop.t)
-                return _PhaseResult(ts, ys, segments, events, n_steps, "event", "cart")
+                ys.extend(stop.y)
+                return _PhaseResult(ts, ys, segments, events, n_steps,
+                                    "switch" if stop.kind == _KS_ENTER else "event", stop.t, stop.y)
             events.extend(found)
         ts.append(t_now)
         ys.extend(y_now)
         t_prev, y_prev = t_now, y_now
-    return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "cart")
+    return _PhaseResult(ts, ys, segments, events, n_steps, "completed")
 
 
 # ---------------------------------------------------------------------------
@@ -1046,6 +1009,7 @@ def _run_ks_phase(mp, y_start, t_start, t1, rtol, atol, specs, budget, dense,
                   r_exit, r_switch, kepler_only, direction):
     """Regularized phase: integrate in fictitious time until r climbs back
     through r_exit, the physical time bound is hit, or budgets run out.
+    Ends like run_steps, with exit_t in physical time.
 
     A step's lazy interpolant is made only when ``dense`` is set or the
     step brackets something to locate on it: a radial minimum, an event or
@@ -1068,14 +1032,11 @@ def _run_ks_phase(mp, y_start, t_start, t1, rtol, atol, specs, budget, dense,
     while solver.status == "running":
         if n_steps >= budget:
             _log_collisions(events, collision_roots, stint_t0, prev_z[_KS_T])
-            return _PhaseResult(ts, ys, segments, events, n_steps,
-                                "step_budget_exhausted", "ks")
+            return _PhaseResult(ts, ys, segments, events, n_steps, "step_budget_exhausted")
         msg = solver.step()
         if solver.status == "failed":
-            last = JacobiState.from_vector(_ks_to_cart(prev_z))
-            raise IntegrationSingularityError(
-                f"regularized integrator failed: {msg}", t=prev_z[_KS_T], state=last
-            )
+            return _PhaseResult(ts, ys, segments, events, n_steps, "failed", prev_z[_KS_T],
+                                _ks_to_cart(prev_z), f"regularized integrator failed: {msg}")
         n_steps += 1
         z = solver.y
         t_prev = prev_z[_KS_T]
@@ -1098,47 +1059,38 @@ def _run_ks_phase(mp, y_start, t_start, t1, rtol, atol, specs, budget, dense,
                             xtol=1e-15, maxiter=200)
             z_root = interp(s_root).tolist()
             if sum(v * v for v in z_root[0:4]) <= KS_COLLISION_FRACTION * r_switch:
-                st_col = JacobiState.from_vector(_ks_to_cart(z_root))
-                collision_roots.append((z_root[_KS_T], st_col))
+                collision_roots.append((z_root[_KS_T], _ks_to_cart(z_root)))
 
         local_events: List[Event] = []
         stop = None
         if crossed:
-            stop = _locate_events(specs, crossed, t_prev, t_now, seg,
-                                  JacobiState.from_vector(y_now), local_events)
+            stop = _locate_events(specs, crossed, t_prev, t_now, seg, y_now, local_events)
         if stop is not None:
             events.extend(ev for ev in local_events if sgn * ev.t <= sgn * stop.t)
             ts.append(stop.t)
-            ys.extend(stop.state.as_vector().tolist())
+            ys.extend(stop.y)
             _log_collisions(events, collision_roots, stint_t0, stop.t)
-            return _PhaseResult(ts, ys, segments, events, n_steps, "event", "ks")
+            return _PhaseResult(ts, ys, segments, events, n_steps, "event", stop.t, stop.y)
         if passed_bound:
             events.extend(ev for ev in local_events if sgn * ev.t <= sgn * t1)
             ts.append(t1)
             ys.extend(seg.state_vector(t1).tolist())
             _log_collisions(events, collision_roots, stint_t0, t1)
-            return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "ks")
+            return _PhaseResult(ts, ys, segments, events, n_steps, "completed")
         events.extend(local_events)
         ts.append(t_now)
         ys.extend(y_now)
         if z[0] * z[0] + z[1] * z[1] + z[2] * z[2] + z[3] * z[3] >= r_exit:
             _log_collisions(events, collision_roots, stint_t0, t_now)
-            return _PhaseResult(ts, ys, segments, events, n_steps, "switch", "cart",
-                                y_now, t_now)
+            return _PhaseResult(ts, ys, segments, events, n_steps, "switch", t_now, y_now)
         prev_z = z
         prev_s = solver.t
-    return _PhaseResult(ts, ys, segments, events, n_steps, "completed", "ks")
+    return _PhaseResult(ts, ys, segments, events, n_steps, "completed")
 
 
 def _log_collisions(events, roots, t_enter, t_exit):
     duration = abs(t_exit - t_enter)
-    for t_col, st_col in roots:
-        events.append(
-            Event(
-                t=t_col,
-                kind="collision_regularized",
-                payload={"duration": duration},
-                state=st_col,
-            )
-        )
+    for t_col, y_col in roots:
+        events.append(Event(t=t_col, kind="collision_regularized",
+                            payload={"duration": duration}, y=y_col))
     roots.clear()

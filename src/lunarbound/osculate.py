@@ -26,7 +26,7 @@ import numpy as np
 from . import kepler
 from .bounds import BoundSet
 from .core import JacobiState, MassParams, _float_rhs
-from .integrate import DenseSolution, EventSpec, Trajectory, solve_dense
+from .integrate import DenseSolution, EventSpec, Trajectory, run_steps
 from .roots import brentq
 
 __all__ = [
@@ -213,17 +213,17 @@ def sandwich_ode(
 
     hit_floor = EventSpec(name="monotone_floor", func=lambda t, y: y[0] - floor,
                           direction=-1, terminal=True)
-    span = (0.0, direction * sp.time_horizon)
     t_valid = sp.time_horizon
     monotone_ok = True
     runs = []
     for sgn in (-1.0, +1.0):
         field = lambda y, g=sgn * f: [y[1], c0sq / y[0]**3 - M / y[0]**2 + g]
-        run = solve_dense(_float_rhs(field), span, [rho0, drho0], rtol, atol, hit_floor)
-        if run.status != "completed":
+        res = run_steps(_float_rhs(field), [rho0, drho0], 0.0, direction * sp.time_horizon,
+                        rtol, atol, [hit_floor], budget=math.inf, dense=True)
+        if res.status != "completed":
             monotone_ok = False
-            t_valid = min(t_valid, abs(run.t_end))
-        runs.append(run.dense)
+            t_valid = min(t_valid, abs(res.exit_t))
+        runs.append(DenseSolution(res.segments))
     return SandwichSolution(
         direction=direction,
         t_valid=t_valid,

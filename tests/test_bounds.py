@@ -322,6 +322,9 @@ class TestI0:
             bsk = compute_chain(mp_equal, APPENDIX_H, APPENDIX_J, far_body=k)
             assert bsk.i0 == pytest.approx(bs.i0, rel=1e-12)
 
+    # a numpy-float level overflows quietly too, with no RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("H", [-0.1, np.float64(-0.1)], ids=["float", "float64"])
     @pytest.mark.parametrize(
         "masses, name",
         [
@@ -331,9 +334,9 @@ class TestI0:
             ((2.9, 1.7, 0.4), "R_lambda"),
         ],
     )
-    def test_overflow_is_named(self, masses, name):
+    def test_overflow_is_named(self, masses, name, H):
         with pytest.raises(ChainOverflowError) as info:
-            compute_chain(MassParams(*masses), -0.1, 0.3)
+            compute_chain(MassParams(*masses), H, 0.3)
         assert info.value.name == name
         assert str(info.value).startswith(f"{name} overflows")
 

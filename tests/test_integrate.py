@@ -182,6 +182,7 @@ class TestEvents:
         assert traj.status == "event"
         assert traj.events and traj.events[-1].kind == "entry"
         assert abs(moment_of_inertia(traj.events[-1].state, mp) - level) < 1e-9 * level
+        assert traj.events[-1].y == traj.y[-1].tolist()
 
     def test_outer_pericenter_event(self):
         mp, st = hierarchical_state(vr=-0.2, vt=0.12)
@@ -301,9 +302,10 @@ class TestLeanStepLoop:
                 return st.as_vector() * (1.0 + 1e-15)
 
         found = []
-        stop = _locate_events([spec], [0], 0.0, 2.5, RoundedSegment(), st, found)
+        y_end = st.as_vector().tolist()
+        stop = _locate_events([spec], [0], 0.0, 2.5, RoundedSegment(), y_end, found)
         assert found == [stop]
-        assert stop.t == 2.5 and stop.state is st
+        assert stop.t == 2.5 and stop.y is y_end
 
     def test_event_free_run_builds_no_interpolant(self, monkeypatch):
         module = importlib.import_module("lunarbound.integrate")

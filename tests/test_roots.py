@@ -86,7 +86,7 @@ class TestAgainstScipy:
 # every brentq call site of the package, by the function that holds it
 SITES = {
     "lunarbound.bounds": {"_euler_quintic_root", "region_constants"},
-    "lunarbound.integrate": {"_locate_events", "_s_of_t", "_run_ks_phase", "solve_dense"},
+    "lunarbound.integrate": {"_locate_events", "_s_of_t", "_run_ks_phase"},
     "lunarbound.osculate": {"_osc_exit_time", "qualified_window"},
 }
 
@@ -132,7 +132,7 @@ def test_recorded_calls_at_every_site_bitwise(recorded, appendix_chain):
         traj.state_at(0.5 * (seg.t_lo + seg.t_hi))
 
     # osculate: the exit root of the qualified window and radius_gap; the
-    # sandwich pair's floor event (solve_dense)
+    # sandwich pair's floor event (on the step loop's _locate_events)
     bs = appendix_chain
     cfg = ScenarioConfig(masses=APPENDIX_MASSES, H=APPENDIX_H, J=(0, 0, APPENDIX_J),
                          count=1, seed=404, level=bs.R_bar,
