@@ -12,16 +12,21 @@ that we control the step budget, event localization and the coordinate
 switches of the regularized path.  Backward time is first class: pass
 t1 < t0.
 
-One physical-time step loop (run_steps) serves the three-body field and
-any small ODE on lists of floats, such as the radial sandwich pair of
-osculate.  Event functions take (t, y), with y the flat state (for the
-three-body field in JacobiState.as_vector layout), and are evaluated on
-the state at the end of each accepted step.  A step keeps its stages only
-as a small packed block; the dense interpolant (three extra RHS stages) is
-built from it the first time a dense-output query or an event search reads
-the step.  The root of an event is polished on that interpolant with
-Brent's method, so event times are good to ~1e-12 relative; an Event keeps
-the flat state at its root.
+One step loop (run_steps) serves the three-body field in physical time,
+the KS stints of the regularized path in fictitious time, and any small
+ODE on lists of floats, such as the radial sandwich pair of osculate: one
+integration on two clocks.  A clock maps the solver's variable and state to
+physical time and the flat state; it is the identity except in a KS stint.
+Event functions take (t, y), with y the flat state (for the three-body
+field in JacobiState.as_vector layout), and are evaluated on the clock's
+state at the end of each accepted step.  A step keeps its stages only as a
+small packed block; the dense interpolant (three extra RHS stages) is built
+from it the first time a dense-output query or an event search reads the
+step.  The root of an event is bracketed and polished with Brent's method
+in the solver's own variable on that interpolant (in a KS stint that is
+the fictitious time s, in which a collision is a regular point), so event
+times are good to ~1e-12 relative; an Event keeps the flat state at its
+root.
 
 Collisions of the inner binary can be crossed by switching the short Jacobi
 vector to Kustaanheimo-Stiefel variables with the time rescaling dt = r ds
@@ -36,7 +41,7 @@ import functools
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -90,7 +95,9 @@ class EventSpec:
     y is the flat state, for the three-body field in JacobiState.as_vector
     layout [xi1, xi2, dxi1, dxi2]: a list of floats at step ends, a numpy
     array on the dense output.  direction +1 fires on -> +, -1 on + -> -,
-    0 on both.  Terminal events stop the integration at the root.
+    0 on both.  Terminal events stop the integration at the root.  Names
+    that start with "_", and "collision_regularized" in a KS stint, are the
+    integrator's own.
     """
 
     name: str
@@ -490,15 +497,20 @@ class _LazyDop853:
 
     state_vector = __call__
 
+    def point(self, t: float):
+        """(t, state), as a KS segment's point(s) gives (t(s), state(s))."""
+        return t, self(t)
+
 
 # ---------------------------------------------------------------------------
 # Dense output across segments (physical and regularized)
 
 class _KSSegment:
-    """One accepted step of the regularized solver, indexed by physical time.
+    """One accepted step of a KS stint, indexed by physical time.
 
-    The fictitious-time interpolant is inverted through the monotone t(s)
-    component when queried at a physical time.
+    point(s) gives the physical (t, flat state) at fictitious time s on the
+    step's interpolant; a query at a physical time inverts the monotone
+    t(s) component first.
     """
 
     __slots__ = ("t_lo", "t_hi", "s_lo", "s_hi", "interp")
@@ -510,8 +522,12 @@ class _KSSegment:
         self.t_lo = min(t_lo, t_hi)
         self.t_hi = max(t_lo, t_hi)
 
+    def point(self, s: float):
+        z = self.interp(s).tolist()
+        return z[_KS_T], np.array(_ks_to_cart(z))
+
     def state_vector(self, t: float) -> np.ndarray:
-        return np.array(_ks_to_cart(self.interp(self._s_of_t(t)).tolist()))
+        return self.point(self._s_of_t(t))[1]
 
     def _s_of_t(self, t: float) -> float:
         f = lambda s: self.interp(s)[_KS_T] - t
@@ -679,18 +695,21 @@ def _sign_changes(specs, ev_vals, t_now, y_now) -> List[int]:
     return crossed
 
 
-def _locate_events(specs, crossed, t_prev, t_now, seg, y_now, events_out) -> Optional[Event]:
-    """Polish each crossed event's root on the step's dense segment and
-    append it to events_out; return the earliest terminal event (in travel
-    order) or None.  y_now is the flat step-end state."""
-    stop = None
-    sgn = 1.0 if t_now >= t_prev else -1.0
-    lo, hi = (t_prev, t_now) if t_prev <= t_now else (t_now, t_prev)
+def _locate_events(specs, crossed, s_prev, s_now, seg, t_now, y_now, events_out) -> Optional[Event]:
+    """Polish each crossed event's root in the solver's variable s over the
+    step [s_prev, s_now], on the step's dense segment, whose point(s) gives
+    the clock's (t, flat state).  Append to events_out the events up to the
+    earliest terminal one (in travel order) and return that one, or None.
+    (t_now, y_now) is the clock's step end."""
+    found = []
+    stop, stop_key = None, math.inf
+    sgn = 1.0 if s_now >= s_prev else -1.0
+    lo, hi = (s_prev, s_now) if s_prev <= s_now else (s_now, s_prev)
     for k in crossed:
         spec = specs[k]
 
-        def gfun(t):
-            return spec.func(t, seg.state_vector(t))
+        def gfun(s):
+            return spec.func(*seg.point(s))
 
         g_lo, g_hi = gfun(lo), gfun(hi)
         if g_lo == 0.0:
@@ -704,13 +723,15 @@ def _locate_events(specs, crossed, t_prev, t_now, seg, y_now, events_out) -> Opt
         else:
             root = brentq(gfun, lo, hi, xtol=1e-14, rtol=8.881784197001252e-16, maxiter=200)
         if root is None:
-            ev = Event(t=t_now, kind=spec.name, payload=dict(spec.payload), y=y_now)
+            root, ev = s_now, Event(t=t_now, kind=spec.name, payload=dict(spec.payload), y=y_now)
         else:
-            ev = Event(t=root, kind=spec.name, payload=dict(spec.payload),
-                       y=seg.state_vector(root).tolist())
-        events_out.append(ev)
-        if spec.terminal and (stop is None or sgn * ev.t < sgn * stop.t):
-            stop = ev
+            t, y = seg.point(root)
+            ev = Event(t=t, kind=spec.name, payload=dict(spec.payload), y=y.tolist())
+        key = sgn * root  # travel order
+        found.append((key, ev))
+        if spec.terminal and key < stop_key:
+            stop, stop_key = ev, key
+    events_out.extend(ev for key, ev in found if key <= stop_key)
     return stop
 
 
@@ -742,9 +763,10 @@ def integrate(
 def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, dense,
                regularize, r_switch) -> Trajectory:
     """Run shared by integrate() and integrate_regularized(): physical
-    phases, and with ``regularize`` KS phases below r_switch (by default
-    KS_SWITCH_FRACTION of the binary's natural length).  A phase that fails
-    on a step size underflow raises IntegrationSingularityError here."""
+    phases, and with ``regularize`` KS stints below r_switch (by default
+    KS_SWITCH_FRACTION of the binary's natural length), all on run_steps.
+    A phase that fails on a step size underflow raises
+    IntegrationSingularityError here."""
     t0, t1 = float(span[0]), float(span[1])
     if t0 == t1:
         raise ValueError("empty time span")
@@ -756,11 +778,21 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
     if regularize:
         if r_switch is None:
             r_switch = KS_SWITCH_FRACTION * mp.beta1 / abs(h0)
-        # terminal guard that hands the run to a KS phase at r = r_switch
-        guard = EventSpec(name=_KS_ENTER,
+        sgn = 1.0 if t1 > t0 else -1.0
+        # terminal guard that hands the run to a KS stint at r = r_switch
+        guard = EventSpec(name="_switch",
                           func=lambda t, y: math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) - r_switch,
                           direction=-1, terminal=True)
         cart_specs = specs + [guard]
+        # in a stint: radial minima, where dr along the travel turns from -
+        # to + (those at r ~ 0 are kept below as collisions), and the bound t1
+        minimum = EventSpec(name="collision_regularized",
+                            func=lambda t, y: sgn * (y[0] * y[6] + y[1] * y[7] + y[2] * y[8]),
+                            direction=1)
+        bound = EventSpec(name="_completed", func=lambda t, y: t - t1, direction=sgn, terminal=True)
+        ks_specs = specs + [minimum, bound]
+        ks_rhs = _make_ks_rhs(mp, kepler_only, sgn)
+        clock = _KSClock(KS_EXIT_FACTOR * r_switch)
 
     rhs = make_rhs(mp, kepler_only=kepler_only)
     y_now = initial.as_vector().tolist()
@@ -780,13 +812,23 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
             res = run_steps(rhs, y_now, t_now, t1, rtol, atol, cart_specs, max_steps - n_steps,
                             dense)
         else:
-            res = _run_ks_phase(
-                mp, y_now, t_now, t1, rtol, atol, specs, max_steps - n_steps, dense,
-                KS_EXIT_FACTOR * r_switch, r_switch, kepler_only, 1.0 if t1 > t0 else -1.0,
-            )
+            res = run_steps(ks_rhs, _ks_from_cart(y_now, mp, t_now), 0.0, math.inf, rtol, atol,
+                            ks_specs, max_steps - n_steps, dense, clock)
         if res.status == "failed":
             raise IntegrationSingularityError(res.message, t=res.exit_t,
                                               state=JacobiState.from_vector(res.exit_y))
+        if mode == "ks":
+            if res.status == "completed":
+                res.ts[-1] = t1  # the stint stopped at its root of t = t1, good to rounding
+            # keep the radial minima at r ~ 0, with the stint's duration
+            duration = abs(res.ts[-1] - t_now)
+            kept = []
+            for ev in res.events:
+                if ev.kind != minimum.name:
+                    kept.append(ev)
+                elif math.hypot(*ev.y[0:3]) <= KS_COLLISION_FRACTION * r_switch:
+                    kept.append(replace(ev, payload={"duration": duration}))
+            res.events = kept
         ts.extend(res.ts)
         ys.extend(res.ys)
         segments.extend(res.segments)
@@ -827,25 +869,28 @@ class _PhaseResult:
     message: str = ""
 
 
-_KS_ENTER = "_ks_enter"
+def run_steps(fun, y_start, t_start, t1, rtol, atol, specs, budget, dense,
+              clock=None) -> _PhaseResult:
+    """DOP853 steps of y' = fun(s, y) from (t_start, y_start) toward t1 in
+    the solver's own variable s, with fun and states on lists of floats.
 
-
-def run_steps(fun, y_start, t_start, t1, rtol, atol, specs, budget, dense) -> _PhaseResult:
-    """DOP853 steps of y' = fun(t, y) in physical time from (t_start,
-    y_start) toward t1, with fun and states on lists of floats.
-
-    Events are tested on each step-end state; the step's lazy interpolant
-    is made only when ``dense`` is set or some event changes sign over the
-    step, and kept only when ``dense`` is set.  A terminal event ends the
-    run at its root with status "event", or "switch" when it is the KS
-    guard (kind _KS_ENTER, not reported).  At most ``budget`` steps are
-    taken; a step size underflow ends the run with status "failed".
+    ``clock`` maps the solver's (s, z) to the physical (t, flat y): None is
+    the identity (physical time, and any small ODE), a _KSClock runs a KS
+    stint in fictitious time.  Events are tested on the clock's (t, y) at
+    each step end.  A step's lazy interpolant is made only when ``dense`` is
+    set or some event changes sign over the step, and kept only when
+    ``dense`` is set; a crossed event is bracketed and Brent-polished in s
+    on it.  A terminal event ends the run at its root with status "event";
+    an internal one, whose name starts with "_", is not reported and ends
+    the run with the status its name spells ("_switch", "_completed").  A
+    clock may also end the run with "switch" at a step end.  At most
+    ``budget`` steps are taken; a step size underflow ends the run with
+    status "failed".
     """
     solver = DOP853(fun, t_start, y_start, t1, rtol=rtol, atol=atol)
-    t_prev, y_prev = t_start, solver.y
+    t_prev, y_prev = (t_start, solver.y) if clock is None else clock(t_start, solver.y)
     ev_vals = [sp.func(t_prev, y_prev) for sp in specs]
     ts, ys, segments, events = array("d"), array("d"), [], []
-    sgn = 1.0 if t1 > t_start else -1.0
     n_steps = 0
     while solver.status == "running":
         if n_steps >= budget:
@@ -855,25 +900,31 @@ def run_steps(fun, y_start, t_start, t1, rtol, atol, specs, budget, dense) -> _P
             return _PhaseResult(ts, ys, segments, events, n_steps, "failed", t_prev, y_prev,
                                 f"integrator failed: {msg}")
         n_steps += 1
-        t_now = solver.t
-        y_now = solver.y
+        if clock is None:
+            t_now, y_now = solver.t, solver.y
+        else:
+            t_now, y_now = clock(solver.t, solver.y)
         crossed = _sign_changes(specs, ev_vals, t_now, y_now)
-        seg = solver.dense_output() if dense or crossed else None
+        seg = None
+        if dense or crossed:
+            seg = solver.dense_output()
+            if clock is not None:
+                seg = clock.segment(seg, t_prev, t_now)
         if dense:
             segments.append(seg)
         if crossed:
             found: List[Event] = []
-            stop = _locate_events(specs, crossed, t_prev, t_now, seg, y_now, found)
+            stop = _locate_events(specs, crossed, solver.t_old, solver.t, seg, t_now, y_now, found)
+            events.extend(ev for ev in found if not ev.kind.startswith("_"))
             if stop is not None:
-                events.extend(ev for ev in found
-                              if ev.kind != _KS_ENTER and sgn * ev.t <= sgn * stop.t)
                 ts.append(stop.t)
                 ys.extend(stop.y)
-                return _PhaseResult(ts, ys, segments, events, n_steps,
-                                    "switch" if stop.kind == _KS_ENTER else "event", stop.t, stop.y)
-            events.extend(found)
+                status = stop.kind[1:] if stop.kind.startswith("_") else "event"
+                return _PhaseResult(ts, ys, segments, events, n_steps, status, stop.t, stop.y)
         ts.append(t_now)
         ys.extend(y_now)
+        if clock is not None and clock.exits(solver.y):
+            return _PhaseResult(ts, ys, segments, events, n_steps, "switch", t_now, y_now)
         t_prev, y_prev = t_now, y_now
     return _PhaseResult(ts, ys, segments, events, n_steps, "completed")
 
@@ -883,17 +934,6 @@ def run_steps(fun, y_start, t_start, t1, rtol, atol, specs, budget, dense) -> _P
 
 # KS state layout: [u(4), u'(4), h1, t, xi2(3), v2(3)] -> 16 components
 _KS_T = 9
-
-
-def _ks_matrix(u: np.ndarray) -> np.ndarray:
-    u1, u2, u3, u4 = u
-    return np.array(
-        [
-            [u1, -u2, -u3, u4],
-            [u2, u1, -u4, -u3],
-            [u3, u4, u1, u2],
-        ]
-    )
 
 
 def _ks_from_cart(y, mp: MassParams, t: float) -> list:
@@ -907,7 +947,7 @@ def _ks_from_cart(y, mp: MassParams, t: float) -> list:
     else:
         u2 = math.sqrt(0.5 * (r - x))
         u1, u3, u4 = 0.5 * y1 / u2, 0.0, 0.5 * z / u2
-    # u' = L(u)^T dxi1 / 2, with L the KS matrix (_ks_matrix)
+    # u' = L(u)^T dxi1 / 2, with L(u) the 3x4 KS matrix
     up = [0.5 * (u1 * vx + u2 * vy + u3 * vz),
           0.5 * (-u2 * vx + u1 * vy + u4 * vz),
           0.5 * (-u3 * vx - u4 * vy + u1 * vz),
@@ -932,9 +972,24 @@ def _ks_to_cart(z) -> list:
     ]
 
 
-def _ks_radial_rate(z, direction: float) -> float:
-    """direction * u.u', whose sign is that of dr along the travel."""
-    return direction * (z[0] * z[4] + z[1] * z[5] + z[2] * z[6] + z[3] * z[7])
+class _KSClock:
+    """The clock of a KS stint on run_steps: maps the solver's (s, z) to the
+    physical (t, flat y), with t the state component _KS_T; makes a step's
+    segment indexed by physical time; and ends the stint at a step end where
+    r = |u|^2 has climbed to r_exit (a step-end test: the 2x hysteresis
+    band makes the exact crossing irrelevant)."""
+
+    __slots__ = ("r_exit",)
+    segment = _KSSegment
+
+    def __init__(self, r_exit: float):
+        self.r_exit = r_exit
+
+    def __call__(self, s, z):
+        return z[_KS_T], _ks_to_cart(z)
+
+    def exits(self, z) -> bool:
+        return z[0] * z[0] + z[1] * z[1] + z[2] * z[2] + z[3] * z[3] >= self.r_exit
 
 
 def _make_ks_rhs(mp: MassParams, kepler_only: bool, direction: float):
@@ -950,7 +1005,7 @@ def _make_ks_rhs(mp: MassParams, kepler_only: bool, direction: float):
     def field(z):
         u1, u2, u3, u4, p1, p2, p3, p4, h1, _, x2, y2, z2, vx, vy, vz = z
         r = u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
-        # xi1 = L(u) u, with L the KS matrix (_ks_matrix)
+        # xi1 = L(u) u, with L(u) the 3x4 KS matrix
         x1 = u1 * u1 - u2 * u2 - u3 * u3 + u4 * u4
         y1 = 2.0 * (u1 * u2 - u3 * u4)
         z1 = 2.0 * (u1 * u3 + u2 * u4)
@@ -996,101 +1051,14 @@ def integrate_regularized(
     While r > r_switch this runs the step loop of integrate() with a passive
     terminal guard at r = r_switch, so non-collisional runs produce bitwise
     identical trajectories.  Below the switch radius the inner vector
-    evolves in KS variables with dt = r ds; each passage whose radial
-    minimum is consistent with r = 0 is logged as a collision_regularized
-    event carrying the duration of the regularized stint.  Outer collisions
+    evolves in KS variables with dt = r ds, on the same step loop with the
+    KS clock: events, the bound t1 and the radial minima are bracketed and
+    polished in s, and the run ends exactly on t1.  Each radial minimum
+    whose r is at most KS_COLLISION_FRACTION * r_switch is logged as a
+    collision_regularized event carrying the duration of the stint, unless
+    it lies past the run's end.  The stint hands back to physical time at a
+    step end where r >= KS_EXIT_FACTOR * r_switch.  Outer collisions
     (rho -> 0) are not regularized and still raise.
     """
     return _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, dense,
                       regularize=True, r_switch=r_switch)
-
-
-def _run_ks_phase(mp, y_start, t_start, t1, rtol, atol, specs, budget, dense,
-                  r_exit, r_switch, kepler_only, direction):
-    """Regularized phase: integrate in fictitious time until r climbs back
-    through r_exit, the physical time bound is hit, or budgets run out.
-    Ends like run_steps, with exit_t in physical time.
-
-    A step's lazy interpolant is made only when ``dense`` is set or the
-    step brackets something to locate on it: a radial minimum, an event or
-    the physical time bound.
-    """
-    z0 = _ks_from_cart(y_start, mp, t_start)
-    rhs = _make_ks_rhs(mp, kepler_only, direction)
-    # fictitious-time horizon: ds ~ dt/r, be generous and let events stop us
-    s_max = abs(t1 - t_start) / max(r_switch * 1e-6, 1e-12) + 10.0
-    solver = DOP853(rhs, 0.0, z0, s_max, rtol=rtol, atol=atol)
-
-    ts, ys, segments, events = array("d"), array("d"), [], []
-    ev_vals = [sp.func(t_start, y_start) for sp in specs]
-    sgn = direction
-    stint_t0 = t_start
-    collision_roots = []  # physical times of radial minima at ~zero radius
-    n_steps = 0
-    prev_z = solver.y
-    prev_s = 0.0
-    while solver.status == "running":
-        if n_steps >= budget:
-            _log_collisions(events, collision_roots, stint_t0, prev_z[_KS_T])
-            return _PhaseResult(ts, ys, segments, events, n_steps, "step_budget_exhausted")
-        msg = solver.step()
-        if solver.status == "failed":
-            return _PhaseResult(ts, ys, segments, events, n_steps, "failed", prev_z[_KS_T],
-                                _ks_to_cart(prev_z), f"regularized integrator failed: {msg}")
-        n_steps += 1
-        z = solver.y
-        t_prev = prev_z[_KS_T]
-        t_now = z[_KS_T]
-        y_now = _ks_to_cart(z)
-        # radial minima: dr/d(travel) crossing - -> +; collision when r at
-        # the minimum is ~ 0
-        minimum = _ks_radial_rate(prev_z, direction) < 0.0 <= _ks_radial_rate(z, direction)
-        crossed = _sign_changes(specs, ev_vals, t_now, y_now)
-        passed_bound = (direction > 0 and t_now >= t1) or (direction < 0 and t_now <= t1)
-        seg = None
-        if dense or minimum or crossed or passed_bound:
-            seg = _KSSegment(solver.dense_output(), t_prev, t_now)
-        if dense:
-            segments.append(seg)
-
-        if minimum:
-            interp = seg.interp
-            s_root = brentq(lambda s: _ks_radial_rate(interp(s), direction), prev_s, solver.t,
-                            xtol=1e-15, maxiter=200)
-            z_root = interp(s_root).tolist()
-            if sum(v * v for v in z_root[0:4]) <= KS_COLLISION_FRACTION * r_switch:
-                collision_roots.append((z_root[_KS_T], _ks_to_cart(z_root)))
-
-        local_events: List[Event] = []
-        stop = None
-        if crossed:
-            stop = _locate_events(specs, crossed, t_prev, t_now, seg, y_now, local_events)
-        if stop is not None:
-            events.extend(ev for ev in local_events if sgn * ev.t <= sgn * stop.t)
-            ts.append(stop.t)
-            ys.extend(stop.y)
-            _log_collisions(events, collision_roots, stint_t0, stop.t)
-            return _PhaseResult(ts, ys, segments, events, n_steps, "event", stop.t, stop.y)
-        if passed_bound:
-            events.extend(ev for ev in local_events if sgn * ev.t <= sgn * t1)
-            ts.append(t1)
-            ys.extend(seg.state_vector(t1).tolist())
-            _log_collisions(events, collision_roots, stint_t0, t1)
-            return _PhaseResult(ts, ys, segments, events, n_steps, "completed")
-        events.extend(local_events)
-        ts.append(t_now)
-        ys.extend(y_now)
-        if z[0] * z[0] + z[1] * z[1] + z[2] * z[2] + z[3] * z[3] >= r_exit:
-            _log_collisions(events, collision_roots, stint_t0, t_now)
-            return _PhaseResult(ts, ys, segments, events, n_steps, "switch", t_now, y_now)
-        prev_z = z
-        prev_s = solver.t
-    return _PhaseResult(ts, ys, segments, events, n_steps, "completed")
-
-
-def _log_collisions(events, roots, t_enter, t_exit):
-    duration = abs(t_exit - t_enter)
-    for t_col, y_col in roots:
-        events.append(Event(t=t_col, kind="collision_regularized",
-                            payload={"duration": duration}, y=y_col))
-    roots.clear()

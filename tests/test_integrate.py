@@ -18,6 +18,7 @@ from lunarbound.integrate import (
     DOP853,
     Dop853Interpolant,
     EventSpec,
+    KS_SWITCH_FRACTION,
     _attempt_for,
     IntegrationSingularityError,
     integrate,
@@ -224,6 +225,36 @@ class TestRegularized:
         assert len(cols) == 2
         assert cols[1].t == pytest.approx(3 * t_col, abs=1e-8)
 
+    @staticmethod
+    def r_switch(mp, st):
+        return KS_SWITCH_FRACTION * mp.beta1 / abs(energy_split(st, mp)[0])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_collision_logged_past_the_run_end(self, sign):
+        # the bound, then a terminal event, inside the KS stint just before
+        # the collision: the step that passes them also brackets the
+        # radial minimum, which lies past the run's end
+        mp, st = two_body_collision_setup()
+        t_col = math.pi / math.sqrt(8.0)
+        traj = integrate_regularized(st, mp, (0.0, sign * (t_col - 1e-5)), kepler_only=True)
+        assert traj.status == "completed" and traj.events == []
+        assert traj.r_nodes()[-1] < self.r_switch(mp, st)
+        stop = EventSpec("stop", lambda t, y: t - sign * (t_col - 1e-4), sign, True)
+        traj = integrate_regularized(st, mp, (0.0, sign * 2 * t_col), events=[stop],
+                                     kepler_only=True)
+        assert traj.status == "event"
+        assert [e.kind for e in traj.events] == ["stop"]
+        assert traj.r_nodes()[-1] < self.r_switch(mp, st)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_run_end_inside_a_ks_stint_lands_on_t1(self, sign):
+        mp, st = two_body_collision_setup()
+        t1 = sign * (math.pi / math.sqrt(8.0) + 1e-4)
+        traj = integrate_regularized(st, mp, (0.0, t1), kepler_only=True)
+        assert traj.status == "completed" and traj.t_end == t1
+        assert [e.kind for e in traj.events] == ["collision_regularized"]
+        assert traj.r_nodes()[-1] < self.r_switch(mp, st)
+
     def test_no_activation_matches_plain_integrate_bitwise(self):
         mp, st = hierarchical_state()  # binary never below the switch radius
         ev = outer_pericenter_event()
@@ -298,12 +329,12 @@ class TestLeanStepLoop:
         spec = EventSpec("entry", lambda t, s: moment_of_inertia(s, mp) - level, -1, True)
 
         class RoundedSegment:
-            def state_vector(self, t):
-                return st.as_vector() * (1.0 + 1e-15)
+            def point(self, t):
+                return t, st.as_vector() * (1.0 + 1e-15)
 
         found = []
         y_end = st.as_vector().tolist()
-        stop = _locate_events([spec], [0], 0.0, 2.5, RoundedSegment(), y_end, found)
+        stop = _locate_events([spec], [0], 0.0, 2.5, RoundedSegment(), 2.5, y_end, found)
         assert found == [stop]
         assert stop.t == 2.5 and stop.y is y_end
 
@@ -588,9 +619,15 @@ class TestDOP853Driver:
         assert ours.value.t == pytest.approx(ref.value.t, rel=1e-12)
         assert ours.value.state.r < 1e-6 and ref.value.state.r < 1e-6
 
+    @staticmethod
+    def ks_matrix(u: np.ndarray) -> np.ndarray:
+        """The 3x4 KS matrix L(u), with xi1 = L(u) u."""
+        u1, u2, u3, u4 = u
+        return np.array([[u1, -u2, -u3, u4], [u2, u1, -u4, -u3], [u3, u4, u1, u2]])
+
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_ks_field_coupling_matches_perturbation_gradients(self, rng, direction):
-        from lunarbound.integrate import _ks_matrix, _make_ks_rhs
+        from lunarbound.integrate import _make_ks_rhs
 
         mp = UNEQUAL
         rhs = _make_ks_rhs(mp, False, direction)
@@ -599,7 +636,7 @@ class TestDOP853Driver:
             xi2, v2 = rng.normal(size=3) * 4.0, rng.normal(size=3) * 0.3
             h1 = -abs(rng.normal())
             dz = rhs(0.0, np.concatenate([u, up, [h1, rng.normal()], xi2, v2]))
-            L = _ks_matrix(u)
+            L = self.ks_matrix(u)
             r = float(u @ u)
             js = JacobiState(xi1=L @ u, dxi1=np.zeros(3), xi2=xi2, dxi2=v2)
             rho = js.rho

@@ -86,7 +86,7 @@ class TestAgainstScipy:
 # every brentq call site of the package, by the function that holds it
 SITES = {
     "lunarbound.bounds": {"_euler_quintic_root", "region_constants"},
-    "lunarbound.integrate": {"_locate_events", "_s_of_t", "_run_ks_phase"},
+    "lunarbound.integrate": {"_locate_events", "_s_of_t"},
     "lunarbound.osculate": {"_osc_exit_time", "qualified_window"},
 }
 
