@@ -48,6 +48,7 @@ __all__ = [
     "i0",
 ]
 
+# the largest separation ratio r/rho the region constants are derived for
 DEFAULT_SIGMA = 0.5
 
 # Reference values quoted for comparison in reports; annotations only, the
@@ -218,9 +219,7 @@ def _taylor_constants(mp: MassParams, sigma: float):
     return c_g, c_g2
 
 
-def region_constants(
-    mp: MassParams, H: float, J: float, sigma: float = DEFAULT_SIGMA
-) -> RegionConstants:
+def region_constants(mp: MassParams, H: float, J: float) -> RegionConstants:
     """Explicit region bounds, plus the enforced threshold that makes them
     hold pointwise.
 
@@ -245,8 +244,7 @@ def region_constants(
     H, J = float(H), float(J)
     if not H < 0.0:
         raise ValueError("H must be negative")
-    if not 0.0 < sigma <= 0.5:
-        raise ValueError("sigma must lie in (0, 1/2]")
+    sigma = DEFAULT_SIGMA
     absH = abs(H)
     c_g, c_g2 = _taylor_constants(mp, sigma)
     c_r = 2.0 * mp.beta1 / absH
@@ -795,7 +793,6 @@ def compute_chain(
     H: float,
     J: float,
     far_body: int = 3,
-    sigma: float = DEFAULT_SIGMA,
     lam: Optional[float] = None,
     B1: Optional[float] = None,
 ) -> BoundSet:
@@ -807,7 +804,7 @@ def compute_chain(
     Raises ChainOverflowError when A1 or R_lambda exceeds the double range.
     """
     mpk = mp.relabeled(far_body)
-    rc = region_constants(mpk, H, J, sigma=sigma)
+    rc = region_constants(mpk, H, J)
     i2 = i_star_star(rc, mpk)
     dc = deviation_constants(rc, mpk, B1=B1)
     sc = strip_and_main(rc, dc, mpk, lam, i_star2=i2)
@@ -821,7 +818,7 @@ def compute_chain(
         masses=mp.masses(),
         H=H,
         J=J,
-        sigma=sigma,
+        sigma=rc.sigma,
         c_r=rc.c_r,
         c_j2=rc.c_j2,
         c_g=rc.c_g,
@@ -850,7 +847,6 @@ def i0(
     mp: MassParams,
     H: float,
     J: float,
-    sigma: float = DEFAULT_SIGMA,
     lam: Optional[float] = None,
     B1: Optional[float] = None,
 ):
@@ -862,7 +858,7 @@ def i0(
     """
     best = None
     for k in (1, 2, 3):
-        bs = compute_chain(mp, H, J, far_body=k, sigma=sigma, lam=lam, B1=B1)
+        bs = compute_chain(mp, H, J, far_body=k, lam=lam, B1=B1)
         if best is None or bs.i0 > best.i0:
             best = bs
     return best.i0, best

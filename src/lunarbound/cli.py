@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .bounds import ChainOverflowError, i0
@@ -151,14 +152,17 @@ def _cmd_verify_sandwich(args) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     cfg = _load_config(args)
+    t_start = time.perf_counter()
     report = run_theorem_experiment(cfg)
-    _emit(report.to_dict(), args, "theorem_report.json")
+    wall_clock_s = time.perf_counter() - t_start
+    _emit(report, args, "theorem_report.json")
+    agg = report["aggregate"]
     print(
-        f"# {report.aggregate['passed']}/{report.aggregate['count']} entered "
-        f"I <= {report.level:.6g} (wall {report.wall_clock_s:.1f}s)",
+        f"# {agg['passed']}/{agg['count']} entered "
+        f"I <= {report['level']:.6g} (wall {wall_clock_s:.1f}s)",
         file=sys.stderr,
     )
-    return 0 if report.aggregate["passed"] == report.aggregate["count"] else 1
+    return 0 if agg["passed"] == agg["count"] else 1
 
 
 def _cmd_appendix(args) -> int:

@@ -7,10 +7,11 @@ J_target - J1, and the outer speed is solved from the energy balance.  The
 PRNG is counter-based per sample index, so batches are reproducible at any
 parallelism.
 
-Reports serialize to canonical JSON (sorted keys, 17 significant digits),
-identical bytes for identical (config, seed) at any --jobs setting.
-Wall-clock time is returned to the caller but kept out of the canonical
-serialization for exactly that reason.
+Both batches run on one runner (serial at jobs == 1, a process pool
+otherwise) and return plain dicts in one report envelope.  Reports serialize
+to canonical JSON (sorted keys, 17 significant digits), identical bytes for
+identical (config, seed) at any --jobs setting, so they carry no wall-clock
+time.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import hashlib
 import json
 import math
 import numbers
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,9 +42,6 @@ __all__ = [
     "ScenarioConfig",
     "SampleError",
     "sample_initial_conditions",
-    "DirectionResult",
-    "SampleResult",
-    "ExperimentReport",
     "run_theorem_experiment",
     "run_sandwich_experiment",
     "run_appendix_scenario",
@@ -124,19 +123,50 @@ class SamplerRanges:
     i_hi_factor: float = 10.0
 
 
-_CONFIG_KEYS = {
-    "masses", "H", "J", "far_body", "sampler", "level", "lambda", "B1", "tol",
-    "budget_factor", "max_steps", "regularize", "inbound_only", "i_range", "lazy_directions",
+# JSON path -> attribute path of every config field.  to_dict and from_dict
+# both read this table; the defaults live on the dataclass fields only.
+_LAYOUT = {
+    "masses": "masses",
+    "H": "H",
+    "J": "J",
+    "far_body": "far_body",
+    "sampler.count": "count",
+    "sampler.seed": "seed",
+    "sampler.inner.a1_frac": "ranges.a1_frac",
+    "sampler.inner.e1": "ranges.e1",
+    "sampler.outer.i_lo_factor": "ranges.i_lo_factor",
+    "sampler.outer.i_hi_factor": "ranges.i_hi_factor",
+    "sampler.planar": "planar",
+    "level": "level",
+    "lambda": "lam",
+    "B1": "B1",
+    "tol": "tol",
+    "budget_factor": "budget_factor",
+    "max_steps": "max_steps",
+    "regularize": "regularize",
+    "inbound_only": "inbound_only",
+    "i_range": "i_range",
+    "lazy_directions": "lazy_directions",
 }
-_SAMPLER_KEYS = {"count", "seed", "inner", "outer", "planar"}
 
 
-def _check_keys(where: str, d, allowed) -> None:
+def _flatten(d, prefix: str = "") -> dict:
+    """The leaves of a config object by JSON path; unknown keys raise."""
+    where = prefix[:-1] or "config"
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object")
+    allowed = {path[len(prefix):].split(".")[0] for path in _LAYOUT if path.startswith(prefix)}
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    flat = {}
+    for key, value in d.items():
+        path = prefix + key
+        if path in _LAYOUT:
+            flat[path] = value
+        else:
+            flat.update(_flatten(value, path + "."))
+    return flat
 
 
 def _is_finite(v) -> bool:
@@ -191,7 +221,7 @@ class ScenarioConfig:
         if self.far_body not in (1, 2, 3):
             raise ValueError(f"far_body must be 1, 2 or 3, got {self.far_body!r}")
         for name, val, lo in (("sampler.count", self.count, 1), ("max_steps", self.max_steps, 1),
-                              ("sampler.seed", self.seed, 0)):
+                              ("sampler.seed", self.seed, 0), ("jobs", self.jobs, 1)):
             if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {val!r}")
         for name, val in (("sampler.planar", self.planar), ("regularize", self.regularize),
@@ -203,6 +233,7 @@ class ScenarioConfig:
             raise ValueError("tol and budget_factor must be positive")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         object.__setattr__(self, "J", tuple(float(v) for v in J))
+        object.__setattr__(self, "i_range", tuple(self.i_range) if self.i_range else None)
 
     @property
     def mp(self) -> MassParams:
@@ -223,70 +254,33 @@ class ScenarioConfig:
         return float(np.linalg.norm(self.J_vec))
 
     def to_dict(self) -> dict:
-        return {
-            "masses": list(self.masses),
-            "H": self.H,
-            "J": list(self.J),
-            "far_body": self.far_body,
-            "sampler": {
-                "count": self.count,
-                "seed": self.seed,
-                "inner": {"a1_frac": list(self.ranges.a1_frac), "e1": list(self.ranges.e1)},
-                "outer": {
-                    "i_lo_factor": self.ranges.i_lo_factor,
-                    "i_hi_factor": self.ranges.i_hi_factor,
-                },
-                "planar": self.planar,
-            },
-            "level": self.level,
-            "lambda": self.lam,
-            "B1": self.B1,
-            "tol": self.tol,
-            "budget_factor": self.budget_factor,
-            "max_steps": self.max_steps,
-            "regularize": self.regularize,
-            "inbound_only": self.inbound_only,
-            "i_range": list(self.i_range) if self.i_range else None,
-            "lazy_directions": self.lazy_directions,
-        }
+        out = {}
+        for path, attr in _LAYOUT.items():
+            *parents, leaf = path.split(".")
+            node = out
+            for key in parents:
+                node = node.setdefault(key, {})
+            value = attrgetter(attr)(self)
+            node[leaf] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        """Inverse of to_dict.  Unknown keys, non-finite numbers and
-        out-of-range values raise ValueError."""
-        _check_keys("config", d, _CONFIG_KEYS)
-        sampler = d.get("sampler", {})
-        _check_keys("sampler", sampler, _SAMPLER_KEYS)
-        inner = sampler.get("inner", {})
-        _check_keys("sampler.inner", inner, {"a1_frac", "e1"})
-        outer = sampler.get("outer", {})
-        _check_keys("sampler.outer", outer, {"i_lo_factor", "i_hi_factor"})
-        ranges = SamplerRanges(
-            a1_frac=tuple(inner.get("a1_frac", (0.20, 0.35))),
-            e1=tuple(inner.get("e1", (0.0, 0.4))),
-            i_lo_factor=outer.get("i_lo_factor", 1.0),
-            i_hi_factor=outer.get("i_hi_factor", 10.0),
-        )
-        return cls(
-            masses=tuple(d["masses"]),
-            H=d["H"],
-            J=d["J"],
-            far_body=d.get("far_body", 3),
-            count=sampler.get("count", 20),
-            seed=sampler.get("seed", 0),
-            ranges=ranges,
-            planar=sampler.get("planar", False),
-            level=d.get("level"),
-            lam=d.get("lambda"),
-            B1=d.get("B1"),
-            tol=d.get("tol", 1e-12),
-            budget_factor=d.get("budget_factor", 4.0),
-            max_steps=d.get("max_steps", 200_000),
-            regularize=d.get("regularize", False),
-            inbound_only=d.get("inbound_only", False),
-            i_range=tuple(d["i_range"]) if d.get("i_range") else None,
-            lazy_directions=d.get("lazy_directions", True),
-        )
+        """Inverse of to_dict.  Unknown or missing keys, non-finite numbers
+        and out-of-range values raise ValueError."""
+        kwargs, ranges = {}, {}
+        for path, value in _flatten(d).items():
+            attr = _LAYOUT[path]
+            value = tuple(value) if isinstance(value, list) else value
+            if attr.startswith("ranges."):
+                ranges[attr[len("ranges."):]] = value
+            else:
+                kwargs[attr] = value
+        missing = [f.name for f in fields(cls) if f.default is MISSING
+                   and f.default_factory is MISSING and f.name not in kwargs]
+        if missing:
+            raise ValueError(f"config lacks {', '.join(missing)}")
+        return cls(ranges=SamplerRanges(**ranges), **kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -406,6 +400,15 @@ def _sample_one(cfg: ScenarioConfig, bs: BoundSet, I_lo: float, I_hi: float, ind
     raise SampleError(f"sampling failed after 64 retries: {last_reason}")
 
 
+def _chain(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -> Tuple[BoundSet, float]:
+    """The bound set of cfg's far body (bs if given) and the experiment
+    level, which defaults to the chain's I0."""
+    if bs is None:
+        bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag, far_body=cfg.far_body,
+                           lam=cfg.lam, B1=cfg.B1)
+    return bs, (cfg.level if cfg.level is not None else bs.i0)
+
+
 def _sampling_window(cfg: ScenarioConfig, level: float):
     if cfg.i_range is not None:
         return cfg.i_range
@@ -422,10 +425,7 @@ def sample_initial_conditions(cfg: ScenarioConfig, bs: Optional[BoundSet] = None
     Residuals |H(state) - H| and |J(state) - J| land at rounding level; the
     test suite pins them below 1e-12 relative.
     """
-    if bs is None:
-        bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag, far_body=cfg.far_body,
-                           lam=cfg.lam, B1=cfg.B1)
-    level = cfg.level if cfg.level is not None else bs.i0
+    bs, level = _chain(cfg, bs)
     I_lo, I_hi = _sampling_window(cfg, level)
     if indices is None:
         indices = range(cfg.count)
@@ -433,78 +433,38 @@ def sample_initial_conditions(cfg: ScenarioConfig, bs: Optional[BoundSet] = None
 
 
 # ---------------------------------------------------------------------------
+# The batch path: one runner, one report envelope
+
+def _map_samples(run_sample, cfg: ScenarioConfig) -> list:
+    """run_sample(index) for every sample index, in index order: serial at
+    jobs == 1, over a process pool otherwise (and serial where no pool can
+    be started).  Each sample draws from its own RNG stream, so the results
+    do not depend on jobs."""
+    indices = range(cfg.count)
+    if cfg.jobs > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+                return list(pool.map(run_sample, indices))
+        except OSError:
+            pass
+    return [run_sample(i) for i in indices]
+
+
+def _report(cfg: ScenarioConfig, bs: BoundSet, samples: list, aggregate: dict, **extra) -> dict:
+    """The envelope both batch reports share, plus the batch's own fields."""
+    return {
+        "schema": SCHEMA,
+        "config": cfg.to_dict(),
+        "config_hash": cfg.config_hash(),
+        "bound_set": bs.to_dict(),
+        "samples": samples,
+        "aggregate": {"count": len(samples), "seed": cfg.seed, **aggregate},
+        **extra,
+    }
+
+
+# ---------------------------------------------------------------------------
 # Theorem experiment
-
-@dataclass(frozen=True)
-class DirectionResult:
-    entered: bool
-    t_entry: Optional[float]
-    min_I: float
-    status: str
-    n_steps: int
-
-    def to_dict(self):
-        return {
-            "entered": self.entered,
-            "t_entry": self.t_entry,
-            "min_I": self.min_I,
-            "status": self.status,
-            "n_steps": self.n_steps,
-        }
-
-
-@dataclass(frozen=True)
-class SampleResult:
-    index: int
-    I0: float
-    dH: float
-    dJ: float
-    forward: DirectionResult
-    backward: DirectionResult
-
-    @property
-    def passed(self) -> bool:
-        return self.forward.entered or self.backward.entered
-
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "I0": self.I0,
-            "dH": self.dH,
-            "dJ": self.dJ,
-            "forward": self.forward.to_dict(),
-            "backward": self.backward.to_dict(),
-            "passed": self.passed,
-        }
-
-
-@dataclass
-class ExperimentReport:
-    schema: str
-    config: dict
-    config_hash: str
-    level: float
-    time_budget: float
-    bound_set: dict
-    samples: List[dict]
-    aggregate: dict
-    wall_clock_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "level": self.level,
-            "time_budget": self.time_budget,
-            "bound_set": self.bound_set,
-            "samples": self.samples,
-            "aggregate": self.aggregate,
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
 
 def _budget_rho(bs: BoundSet, level: float) -> float:
     """rho_bar at the level, clamped to >= 1 so sub-threshold levels (the
@@ -514,13 +474,19 @@ def _budget_rho(bs: BoundSet, level: float) -> float:
     return math.sqrt(max(val, 1.0))
 
 
+def _direction(entered: bool, t_entry: Optional[float], min_I: float, status: str,
+               n_steps: int) -> dict:
+    return {"entered": entered, "t_entry": t_entry, "min_I": min_I, "status": status,
+            "n_steps": n_steps}
+
+
 def _first_entry(state: JacobiState, mp: MassParams, bs: BoundSet, level: float,
-                 t_budget: float, cfg: ScenarioConfig, sign: float) -> DirectionResult:
+                 t_budget: float, cfg: ScenarioConfig, sign: float) -> dict:
     if moment_of_inertia(state, mp) <= level:
-        return DirectionResult(True, 0.0, moment_of_inertia(state, mp), "already_inside", 0)
+        return _direction(True, 0.0, moment_of_inertia(state, mp), "already_inside", 0)
     t_cert = certify_entry(state, mp, bs, level, sign, t_budget)
     if t_cert is not None:
-        return DirectionResult(True, t_cert, level, "certified_entry", 0)
+        return _direction(True, t_cert, level, "certified_entry", 0)
     inertia = flat_inertia(mp)
     ev = EventSpec(
         name="entry",
@@ -537,12 +503,12 @@ def _first_entry(state: JacobiState, mp: MassParams, bs: BoundSet, level: float,
     )
     entries = [e for e in traj.events if e.kind == "entry"]
     if entries:
-        return DirectionResult(True, entries[0].t, level, "entered", traj.n_steps)
-    return DirectionResult(False, None, traj.min_inertia(), traj.status, traj.n_steps)
+        return _direction(True, entries[0].t, level, "entered", traj.n_steps)
+    return _direction(False, None, traj.min_inertia(), traj.status, traj.n_steps)
 
 
-def _run_sample(args) -> dict:
-    cfg, bs, level, t_budget, I_lo, I_hi, index = args
+def _theorem_sample(cfg: ScenarioConfig, bs: BoundSet, level: float, t_budget: float,
+                    I_lo: float, I_hi: float, index: int) -> dict:
     mp = cfg.far_mp
     state = _sample_one(cfg, bs, I_lo, I_hi, index)
     H, _, _, _ = energy_split(state, mp)
@@ -555,22 +521,23 @@ def _run_sample(args) -> dict:
     rv = float(state.xi2 @ state.dxi2)
     first_sign = +1.0 if rv <= 0.0 else -1.0
     res_first = _first_entry(state, mp, bs, level, t_budget, cfg, first_sign)
-    if cfg.lazy_directions and res_first.entered:
-        res_other = DirectionResult(False, None, moment_of_inertia(state, mp), "not_run", 0)
+    if cfg.lazy_directions and res_first["entered"]:
+        res_other = _direction(False, None, moment_of_inertia(state, mp), "not_run", 0)
     else:
         res_other = _first_entry(state, mp, bs, level, t_budget, cfg, -first_sign)
     fwd, bwd = (res_first, res_other) if first_sign > 0 else (res_other, res_first)
-    return SampleResult(
-        index=index,
-        I0=moment_of_inertia(state, mp),
-        dH=dH,
-        dJ=dJ,
-        forward=fwd,
-        backward=bwd,
-    ).to_dict()
+    return {
+        "index": index,
+        "I0": moment_of_inertia(state, mp),
+        "dH": dH,
+        "dJ": dJ,
+        "forward": fwd,
+        "backward": bwd,
+        "passed": fwd["entered"] or bwd["entered"],
+    }
 
 
-def run_theorem_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -> ExperimentReport:
+def run_theorem_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -> dict:
     """Decide for each sample, forward and backward, whether it enters
     I <= level, and say per direction how it was decided.
 
@@ -593,23 +560,10 @@ def run_theorem_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -
 
     Exhausting a budget is reported per sample, never as an abort.
     """
-    t_start = time.perf_counter()
-    if bs is None:
-        bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag, far_body=cfg.far_body,
-                           lam=cfg.lam, B1=cfg.B1)
-    level = cfg.level if cfg.level is not None else bs.i0
+    bs, level = _chain(cfg, bs)
     t_budget = cfg.budget_factor * bs.B1 * _budget_rho(bs, level) ** 1.5
     I_lo, I_hi = _sampling_window(cfg, level)
-
-    tasks = [(cfg, bs, level, t_budget, I_lo, I_hi, i) for i in range(cfg.count)]
-    if cfg.jobs > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                samples = list(pool.map(_run_sample, tasks))
-        except OSError:
-            samples = [_run_sample(t) for t in tasks]
-    else:
-        samples = [_run_sample(t) for t in tasks]
+    samples = _map_samples(partial(_theorem_sample, cfg, bs, level, t_budget, I_lo, I_hi), cfg)
 
     n_passed = sum(1 for s in samples if s["passed"])
     budget_exhausted = sum(
@@ -628,93 +582,64 @@ def run_theorem_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -
     if entries:
         worst_margin = max(abs(t) for t in entries) / t_budget
     aggregate = {
-        "count": len(samples),
         "passed": n_passed,
         "failed": len(samples) - n_passed,
         "budget_exhausted": budget_exhausted,
         "worst_entry_fraction_of_budget": worst_margin,
-        "seed": cfg.seed,
     }
-    report = ExperimentReport(
-        schema=SCHEMA,
-        config=cfg.to_dict(),
-        config_hash=cfg.config_hash(),
-        level=level,
-        time_budget=t_budget,
-        bound_set=bs.to_dict(),
-        samples=samples,
-        aggregate=aggregate,
-        wall_clock_s=time.perf_counter() - t_start,
-    )
-    return report
+    return _report(cfg, bs, samples, aggregate, level=level, time_budget=t_budget)
 
 
 # ---------------------------------------------------------------------------
 # Deviation/sandwich experiment
 
-def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None,
-                            I_bar: Optional[float] = None) -> dict:
-    """Deviation suite: sample in the strip [I_bar, I_bar^+], integrate both
+def _sandwich_sample(cfg: ScenarioConfig, bs: BoundSet, I_bar: float, I_hi: float,
+                     horizon: float, index: int) -> dict:
+    mp = cfg.far_mp
+    inertia = flat_inertia(mp)
+    state = _sample_one(cfg, bs, I_bar, I_hi, index)
+    # stop a little below the reference level: the deviation window ends at
+    # the I = I_bar exit, but the osculating exit instant t* sits just past
+    # it and its strip check needs the true state there
+    stop_ev = EventSpec(
+        name="stop",
+        func=lambda t, y: inertia(y) - 0.9 * I_bar,
+        direction=-1,
+        terminal=True,
+    )
+    traj_f, traj_b = (integrate(state, mp, (0.0, t1), rtol=cfg.tol, atol=cfg.tol,
+                                events=[stop_ev], max_steps=cfg.max_steps)
+                      for t1 in (horizon, -horizon))
+    rep = verify_deviation(traj_f, traj_b, bs, I_bar)
+    summary = rep.summary()
+    summary["index"] = index
+    summary["I_initial"] = moment_of_inertia(state, mp)
+    if rep.ct_report is not None:
+        summary["ct_drift"] = rep.ct_report.max_drift
+        summary["ct_bound"] = rep.ct_report.bound
+    return summary
+
+
+def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -> dict:
+    """Deviation suite: sample in the strip [R_bar, R_bar^+], integrate both
     directions to the qualified horizon, and verify every measured bound.
 
     Returns a canonical-JSON-able dict with one entry per sample.
     """
-    if bs is None:
-        bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag, far_body=cfg.far_body,
-                           lam=cfg.lam, B1=cfg.B1)
-    mp = cfg.far_mp
-    inertia = flat_inertia(mp)
-    if I_bar is None:
-        I_bar = bs.R_bar
-    eps = bs.epsilon(I_bar)
+    bs, _ = _chain(cfg, bs)
+    I_bar = bs.R_bar
     horizon = bs.horizon(I_bar)
-    I_hi = bs.i_plus(I_bar)
-    reports = []
-    for i in range(cfg.count):
-        state = _sample_one(
-            cfg, bs, I_bar, I_hi, i
-        )
-        # stop a little below the reference level: the deviation window ends
-        # at the I = I_bar exit, but the osculating exit instant t* sits just
-        # past it and its strip check needs the true state there
-        stop_ev = EventSpec(
-            name="stop",
-            func=lambda t, y: inertia(y) - 0.9 * I_bar,
-            direction=-1,
-            terminal=True,
-        )
-        traj_f = integrate(state, mp, (0.0, horizon), rtol=cfg.tol, atol=cfg.tol,
-                           events=[stop_ev], max_steps=cfg.max_steps)
-        traj_b = integrate(state, mp, (0.0, -horizon), rtol=cfg.tol, atol=cfg.tol,
-                           events=[stop_ev], max_steps=cfg.max_steps)
-        rep = verify_deviation(traj_f, traj_b, bs, I_bar)
-        summary = rep.summary()
-        summary["index"] = i
-        summary["I_initial"] = moment_of_inertia(state, mp)
-        if rep.ct_report is not None:
-            summary["ct_drift"] = rep.ct_report.max_drift
-            summary["ct_bound"] = rep.ct_report.bound
-        reports.append(summary)
-    out = {
-        "schema": SCHEMA,
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "I_bar": I_bar,
-        "epsilon": eps,
-        "time_horizon": horizon,
-        "bound_set": bs.to_dict(),
-        "samples": reports,
-        "aggregate": {
-            "count": len(reports),
-            "ok": sum(1 for r in reports if r["ok"]),
-            "violations": sum(r["violations"] for r in reports),
-            "worst_deviation_fraction": max(
-                (r["max_deviation"] / r["bound"] for r in reports), default=0.0
-            ),
-            "seed": cfg.seed,
-        },
+    samples = _map_samples(
+        partial(_sandwich_sample, cfg, bs, I_bar, bs.i_plus(I_bar), horizon), cfg)
+    aggregate = {
+        "ok": sum(1 for r in samples if r["ok"]),
+        "violations": sum(r["violations"] for r in samples),
+        "worst_deviation_fraction": max(
+            (r["max_deviation"] / r["bound"] for r in samples), default=0.0
+        ),
     }
-    return out
+    return _report(cfg, bs, samples, aggregate, I_bar=I_bar, epsilon=bs.epsilon(I_bar),
+                   time_horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -725,20 +650,15 @@ APPENDIX_H = -1.0 / 6.0
 APPENDIX_J = math.sqrt(8.0) / 9.0
 
 
-def run_appendix_scenario(
-    count: int = 20,
-    seed: int = 7,
-    level: Optional[float] = None,
-    tol: float = 1e-12,
-) -> dict:
+def run_appendix_scenario(count: int = 20, seed: int = 7) -> dict:
     """The equal-mass reference case m_i = 1/3, H = -1/6, |J| = sqrt(8)/9.
 
     Computes the full chain, asserts I* = 32/27 (to 1e-9) and I** < I_M,
     reports the literature reference values as annotations, then runs a
-    theorem experiment.  The experiment level defaults to the chain's R:
-    the minimized I0 itself sits at ~1e44, where a fall spans ~1e33 binary
-    periods, far beyond any direct integration; R is the lowest level the
-    strip machinery certifies per strip, and is reachable at desk scale.
+    theorem experiment at the chain's R: the minimized I0 itself sits at
+    ~1e44, where a fall spans ~1e33 binary periods, far beyond any direct
+    integration; R is the lowest level the strip machinery certifies per
+    strip, and is reachable at desk scale.
     """
     mp = MassParams(*APPENDIX_MASSES)
     I0_value, bs = i0(mp, APPENDIX_H, APPENDIX_J)
@@ -755,24 +675,21 @@ def run_appendix_scenario(
         "henon_broucke_min_I": bounds_mod.HENON_BROUCKE_MIN_I,
         "note": "reference values from sharper analyses; reported, not asserted",
     }
-    exp_level = level if level is not None else bs.R
     cfg = ScenarioConfig(
         masses=APPENDIX_MASSES,
         H=APPENDIX_H,
         J=(0.0, 0.0, APPENDIX_J),
         count=count,
         seed=seed,
-        level=exp_level,
-        tol=tol,
+        level=bs.R,
         ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=4.0),
     )
-    report = run_theorem_experiment(cfg, bs=bs)
     return {
         "schema": SCHEMA,
         "I0": I0_value,
         "bound_set": bs.to_dict(),
         "checks": checks,
         "annotations": annotations,
-        "experiment_level": exp_level,
-        "experiment": report.to_dict(),
+        "experiment_level": bs.R,
+        "experiment": run_theorem_experiment(cfg, bs=bs),
     }

@@ -247,10 +247,6 @@ class DeviationReport:
     I_bar: float
     epsilon: float
     bound: float          # A1 eps
-    times: np.ndarray
-    rho_true: np.ndarray
-    rho_osc: np.ndarray
-    deviation: np.ndarray
     violations: int
     first_violation_t: Optional[float]
     true_exit_t: Optional[float]       # first |t| where I(t) < I_bar, per side
@@ -509,10 +505,6 @@ def verify_deviation(
         I_bar=I_bar,
         epsilon=eps,
         bound=bound,
-        times=times,
-        rho_true=rho_t,
-        rho_osc=rho_o,
-        deviation=dev,
         violations=violations,
         first_violation_t=first_violation,
         true_exit_t=exit_t,

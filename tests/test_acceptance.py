@@ -308,9 +308,9 @@ class TestCriterion8:
             lazy_directions=False,
         )
         rep = run_theorem_experiment(cfg, bs=bs)
-        agg = rep.aggregate
+        agg = rep["aggregate"]
         certified = sum(
-            1 for s in rep.samples
+            1 for s in rep["samples"]
             if "certified_entry" in (s["forward"]["status"], s["backward"]["status"])
         )
         worst = agg["worst_entry_fraction_of_budget"]
@@ -339,14 +339,14 @@ class TestCriterion8:
             ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=10.0),
         )
         rep = run_theorem_experiment(cfg, bs=bs)
-        agg = rep.aggregate
+        agg = rep["aggregate"]
         assert all(s[d]["status"] != "certified_entry"
-                   for s in rep.samples for d in ("forward", "backward"))
+                   for s in rep["samples"] for d in ("forward", "backward"))
         ok = report(
             "8b",
             agg["passed"] == agg["count"] == 100,
             f"level R = {bs.R:.4f}: {agg['passed']}/100 entered within budget "
-            f"{rep.time_budget:.1f} (worst entry at "
+            f"{rep['time_budget']:.1f} (worst entry at "
             f"{(agg['worst_entry_fraction_of_budget'] or 0) * 100:.1f}% of budget)",
         )
         assert ok
@@ -359,9 +359,9 @@ class TestCriterion8:
             max_steps=60_000, lazy_directions=False,
         )
         rep = run_theorem_experiment(cfg, bs=bs)
-        agg = rep.aggregate
+        agg = rep["aggregate"]
         assert all(s[d]["status"] != "certified_entry"
-                   for s in rep.samples for d in ("forward", "backward"))
+                   for s in rep["samples"] for d in ("forward", "backward"))
         ok = report(
             "8c",
             agg["passed"] < agg["count"],
@@ -390,7 +390,7 @@ class TestCriterion9:
                 masses=APPENDIX_MASSES, H=APPENDIX_H, J=(0, 0, APPENDIX_J),
                 count=6, seed=919191, level=bs.R, jobs=jobs,
             )
-            reports.append(run_theorem_experiment(cfg, bs=bs).to_json())
+            reports.append(canonical_json(run_theorem_experiment(cfg, bs=bs)))
         ok = report(
             "9b",
             reports[0] == reports[1] == reports[2],

@@ -62,8 +62,8 @@ class TestSampler:
         bs = appendix_chain
         cfg = appendix_cfg(count=8, seed=1, level=bs.R if level == "R" else 3.0 * bs.R_bar)
         rep = run_theorem_experiment(cfg, bs=bs)
-        assert len(rep.samples) == 8
-        for s in rep.samples:
+        assert len(rep["samples"]) == 8
+        for s in rep["samples"]:
             assert s["dH"] <= 1e-12 and s["dJ"] <= 1e-12
 
     def test_deterministic(self, appendix_chain):
@@ -100,24 +100,24 @@ class TestTheoremExperiment:
         cfg = appendix_cfg(count=6, seed=77, level=appendix_chain.R,
                            ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=4.0))
         rep = run_theorem_experiment(cfg, bs=appendix_chain)
-        assert rep.aggregate["passed"] == rep.aggregate["count"] == 6
-        assert rep.level == appendix_chain.R
+        assert rep["aggregate"]["passed"] == rep["aggregate"]["count"] == 6
+        assert rep["level"] == appendix_chain.R
         entries = [
             d["t_entry"]
-            for s in rep.samples
+            for s in rep["samples"]
             for d in (s["forward"], s["backward"])
             if d["entered"]
         ]
-        assert all(abs(t) <= rep.time_budget for t in entries)
+        assert all(abs(t) <= rep["time_budget"] for t in entries)
         # at R the deviation bound A1 eps dwarfs rho_bar: entry is integrated
         assert all(s[d]["status"] != "certified_entry"
-                   for s in rep.samples for d in ("forward", "backward"))
+                   for s in rep["samples"] for d in ("forward", "backward"))
 
     def test_certified_entry_at_computed_I0(self, appendix_i0):
         I0_val, bs = appendix_i0
         cfg = appendix_cfg(count=1, seed=808080, level=I0_val, max_steps=50)
         rep = run_theorem_experiment(cfg, bs=bs)
-        sample = rep.samples[0]
+        sample = rep["samples"][0]
         assert sample["passed"]
         certified = [(sign, sample[d]) for sign, d in ((+1, "forward"), (-1, "backward"))
                      if sample[d]["status"] == "certified_entry"]
@@ -127,7 +127,7 @@ class TestTheoremExperiment:
         horizon = bs.B1 * eps**-1.5
         t = res["t_entry"]
         assert res["entered"] and res["n_steps"] == 0 and res["min_I"] == I0_val
-        assert 0.0 < sign * t <= min(horizon, rep.time_budget)
+        assert 0.0 < sign * t <= min(horizon, rep["time_budget"])
         # the osculating outer orbit has fallen A1 eps below rho_bar by t
         state = sample_initial_conditions(cfg, bs)[0]
         osc = kp.propagate(kp.TwoBodyState(state.xi2, state.dxi2, cfg.mp.M), t)
@@ -138,8 +138,8 @@ class TestTheoremExperiment:
         cfg2 = appendix_cfg(count=4, seed=21, level=appendix_chain.R, budget_factor=8.0)
         r1 = run_theorem_experiment(cfg1, bs=appendix_chain)
         r2 = run_theorem_experiment(cfg2, bs=appendix_chain)
-        assert r1.aggregate["passed"] == r2.aggregate["passed"]
-        for a, b in zip(r1.samples, r2.samples):
+        assert r1["aggregate"]["passed"] == r2["aggregate"]["passed"]
+        for a, b in zip(r1["samples"], r2["samples"]):
             for side in ("forward", "backward"):
                 if a[side]["entered"]:
                     assert b[side]["t_entry"] == pytest.approx(a[side]["t_entry"], rel=1e-9)
@@ -148,34 +148,34 @@ class TestTheoremExperiment:
         cfg = appendix_cfg(count=4, seed=5, level=1e-3, i_range=(4.0, 30.0),
                            max_steps=40_000, lazy_directions=False)
         rep = run_theorem_experiment(cfg, bs=appendix_chain)
-        assert rep.aggregate["passed"] < rep.aggregate["count"]
-        assert all(s["forward"]["min_I"] > 1e-3 for s in rep.samples)
+        assert rep["aggregate"]["passed"] < rep["aggregate"]["count"]
+        assert all(s["forward"]["min_I"] > 1e-3 for s in rep["samples"])
         # 1e-3 lies below R_bar, where the deviation estimate does not apply
         assert all(s[d]["status"] != "certified_entry"
-                   for s in rep.samples for d in ("forward", "backward"))
+                   for s in rep["samples"] for d in ("forward", "backward"))
 
     def test_report_bytes_deterministic(self, appendix_chain):
         cfg = appendix_cfg(count=3, seed=9, level=appendix_chain.R)
-        r1 = run_theorem_experiment(cfg, bs=appendix_chain).to_json()
-        r2 = run_theorem_experiment(cfg, bs=appendix_chain).to_json()
+        r1 = canonical_json(run_theorem_experiment(cfg, bs=appendix_chain))
+        r2 = canonical_json(run_theorem_experiment(cfg, bs=appendix_chain))
         assert r1 == r2
 
-    def test_report_bytes_deterministic_across_jobs(self, appendix_chain):
-        cfg1 = appendix_cfg(count=4, seed=13, level=appendix_chain.R, jobs=1)
-        cfg2 = appendix_cfg(count=4, seed=13, level=appendix_chain.R, jobs=2)
-        r1 = run_theorem_experiment(cfg1, bs=appendix_chain)
-        r2 = run_theorem_experiment(cfg2, bs=appendix_chain)
-        d1 = r1.to_dict()
-        d2 = r2.to_dict()
-        d1["config"].pop("jobs", None)
-        d2["config"].pop("jobs", None)
-        assert canonical_json(d1) == canonical_json(d2)
+    @pytest.mark.parametrize("batch", ["theorem", "sandwich"])
+    def test_report_bytes_deterministic_across_jobs(self, appendix_chain, batch):
+        # both batches run on the same runner: serial at jobs 1, a pool at 2
+        if batch == "theorem":
+            run, kw = run_theorem_experiment, dict(count=4, seed=13, level=appendix_chain.R)
+        else:
+            run, kw = run_sandwich_experiment, dict(count=2, seed=13)
+        r1 = run(appendix_cfg(jobs=1, **kw), bs=appendix_chain)
+        r2 = run(appendix_cfg(jobs=2, **kw), bs=appendix_chain)
+        assert canonical_json(r1) == canonical_json(r2)
 
     def test_every_sample_accounted_once(self, appendix_chain):
         cfg = appendix_cfg(count=5, seed=31, level=appendix_chain.R)
         rep = run_theorem_experiment(cfg, bs=appendix_chain)
-        assert [s["index"] for s in rep.samples] == list(range(5))
-        agg = rep.aggregate
+        assert [s["index"] for s in rep["samples"]] == list(range(5))
+        agg = rep["aggregate"]
         assert agg["passed"] + agg["failed"] == agg["count"] == 5
 
     def test_far_body_samples_in_its_own_labeling(self):
@@ -190,14 +190,14 @@ class TestTheoremExperiment:
                                                   level=level, count=4, seed=1))
             for m, k in (((1.0, 2.0, 3.0), 1), ((2.0, 3.0, 1.0), 3))
         ]
-        assert reports[0].samples == reports[1].samples
-        assert reports[0].time_budget == reports[1].time_budget
+        assert reports[0]["samples"] == reports[1]["samples"]
+        assert reports[0]["time_budget"] == reports[1]["time_budget"]
 
     def test_config_hash_embedded(self, appendix_chain):
         cfg = appendix_cfg(count=2, seed=1, level=appendix_chain.R)
         rep = run_theorem_experiment(cfg, bs=appendix_chain)
-        assert rep.config_hash == cfg.config_hash()
-        assert rep.bound_set["I0"] == appendix_chain.i0
+        assert rep["config_hash"] == cfg.config_hash()
+        assert rep["bound_set"]["I0"] == appendix_chain.i0
 
 
 class TestConfigRoundTrip:
@@ -370,16 +370,22 @@ class TestCli:
     @pytest.mark.parametrize("path, value", [
         (("regularize",), "no"), (("sampler", "planar"), "false"), (("sampler", "seed"), 1.5),
         (("sampler", "seed"), -1), (("inbound_only",), 1), (("lazy_directions",), None),
+        (("jobs",), 0),
     ])
     def test_config_bad_type_exit_two(self, tmp_path, capsys, path, value):
         d = appendix_cfg(count=1, level=18.0).to_dict()
-        node = d
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        flags = []
+        if path == ("jobs",):
+            # jobs is no config key: it comes from the command line
+            flags = ["--jobs", str(value)]
+        else:
+            node = d
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(d))
-        assert self.run_cli("--config", str(p), "verify-theorem") == 2
+        assert self.run_cli("--config", str(p), *flags, "verify-theorem") == 2
         assert path[-1] in capsys.readouterr().err
 
     def test_unknown_command_exit_two(self):
