@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -200,7 +200,7 @@ class RegionConstants:
     c_g: float
     c_g2: float
     rho_min: float
-    i_star_raw: float
+    i_star: float
     i_star_eff: float
 
 
@@ -276,7 +276,7 @@ def region_constants(mp: MassParams, H: float, J: float) -> RegionConstants:
         c_g=c_g,
         c_g2=c_g2,
         rho_min=rho_min,
-        i_star_raw=raw,
+        i_star=raw,
         i_star_eff=eff,
     )
 
@@ -289,7 +289,7 @@ def i_star_star(rc: RegionConstants, mp: MassParams) -> float:
     comparison against the monotonicity method: whenever the second branch
     binds, I** < I_M follows from delta < 1 alone.
     """
-    return max(rc.i_star_raw, mp.alpha1 * rc.c_r**2 + mp.alpha2 * rc.c_j2**4 / mp.M**2)
+    return max(rc.i_star, mp.alpha1 * rc.c_r**2 + mp.alpha2 * rc.c_j2**4 / mp.M**2)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +659,7 @@ def marchal_comparison(rc: RegionConstants, mp: MassParams) -> MarchalComparison
     lower delta and raise I_M.
     """
     a1, a2 = mp.alpha1, mp.alpha2
-    val = (rc.i_star_raw - a1 * rc.c_r**2) / a2
+    val = (rc.i_star - a1 * rc.c_r**2) / a2
     if val > 0.0:
         lam_max = min(rc.c_r / math.sqrt(val), rc.sigma)
     else:
@@ -676,13 +676,22 @@ def marchal_comparison(rc: RegionConstants, mp: MassParams) -> MarchalComparison
 # ---------------------------------------------------------------------------
 # The assembled chain
 
+# report keys that differ from the BoundSet field names
+_JSON_KEYS = {"c_j2": "c_J2", "i_star": "I_star", "i_star_eff": "I_star_eff",
+              "i_star2": "I_star2", "lam": "lambda", "i0": "I0"}
+
+
 @dataclass(frozen=True)
 class BoundSet:
     """Every constant of the chain for one far-body choice.
 
-    Also carries the level-dependent helpers: rho_bar(I) and epsilon(I) for
-    a query level, the strip ceiling I_plus(I), and the strip ladder
-    strip(s).  i0 is the minimized R_lambda for this far body.
+    The stage constants keep their field names from RegionConstants,
+    DeviationConstants and StripConstants, whose records compute_chain
+    passes on whole; to_dict writes every field, renamed by _JSON_KEYS where
+    the report key differs.  Also carries the level-dependent helpers:
+    rho_bar(I) and epsilon(I) for a query level, the strip ceiling
+    I_plus(I), and the strip ladder strip(s).  i0 is the minimized R_lambda
+    for this far body.
     """
 
     far_body: int
@@ -751,41 +760,7 @@ class BoundSet:
         return I_s, self.i_plus(I_s)
 
     def to_dict(self) -> dict:
-        return {
-            "far_body": self.far_body,
-            "masses": list(self.masses),
-            "H": self.H,
-            "J": self.J,
-            "sigma": self.sigma,
-            "c_r": self.c_r,
-            "c_J2": self.c_j2,
-            "c_g": self.c_g,
-            "c_g2": self.c_g2,
-            "rho_min": self.rho_min,
-            "I_star": self.i_star,
-            "I_star_eff": self.i_star_eff,
-            "I_star2": self.i_star2,
-            "A": self.A,
-            "a": self.a,
-            "b": self.b,
-            "A1": self.A1,
-            "B1": self.B1,
-            "R_bar": self.R_bar,
-            "R": self.R,
-            "lambda": self.lam,
-            "lambda_prime": self.lambda_prime,
-            "R_bar_lambda": self.R_bar_lambda,
-            "R_lambda": self.R_lambda,
-            "I0": self.i0,
-            "marchal": {
-                "delta": self.marchal.delta,
-                "delta_upper": self.marchal.delta_upper,
-                "boxes": self.marchal.boxes,
-                "rho_M": self.marchal.rho_M,
-                "I_M": self.marchal.I_M,
-                "lam_max": self.marchal.lam_max,
-            },
-        }
+        return {_JSON_KEYS.get(k, k): v for k, v in asdict(self).items()}
 
 
 def compute_chain(
@@ -813,34 +788,8 @@ def compute_chain(
             "R_lambda", f"alpha2^2 A1^2/lambda with A1 = {dc.A1:.6g}, lambda = {sc.lam:.6g}"
         )
     mc = marchal_comparison(rc, mpk)
-    return BoundSet(
-        far_body=far_body,
-        masses=mp.masses(),
-        H=H,
-        J=J,
-        sigma=rc.sigma,
-        c_r=rc.c_r,
-        c_j2=rc.c_j2,
-        c_g=rc.c_g,
-        c_g2=rc.c_g2,
-        rho_min=rc.rho_min,
-        i_star=rc.i_star_raw,
-        i_star_eff=rc.i_star_eff,
-        i_star2=i2,
-        A=dc.A,
-        a=dc.a,
-        b=dc.b,
-        A1=dc.A1,
-        B1=dc.B1,
-        R_bar=dc.R_bar,
-        R=sc.R,
-        lam=sc.lam,
-        lambda_prime=sc.lambda_prime,
-        R_bar_lambda=sc.R_bar_lambda,
-        R_lambda=sc.R_lambda,
-        i0=sc.R_lambda,
-        marchal=mc,
-    )
+    return BoundSet(far_body=far_body, masses=mp.masses(), H=H, J=J, **vars(rc), i_star2=i2,
+                    **vars(dc), **vars(sc), i0=sc.R_lambda, marchal=mc)
 
 
 def i0(

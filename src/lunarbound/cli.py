@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .bounds import ChainOverflowError, i0
@@ -55,25 +56,25 @@ def _load_config(args) -> ScenarioConfig:
         overrides["regularize"] = args.regularize == "on"
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
-    if getattr(args, "count", None) is not None:
+    if args.count is not None:
         overrides["count"] = args.count
-    if getattr(args, "level", None) is not None:
+    if args.level is not None:
         overrides["level"] = args.level
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(cfg, **overrides) if overrides else cfg
 
 
-def _emit(obj, args, default_name: str) -> None:
-    text = canonical_json(obj)
+def _write(text: str, args, name: str) -> None:
+    """text into the file name under --out, or to stdout without --out."""
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / default_name).write_text(text + "\n")
+        (out_dir / name).write_text(text)
     else:
-        print(text)
+        print(text, end="")
+
+
+def _emit(obj, args, name: str) -> None:
+    _write(canonical_json(obj) + "\n", args, name)
 
 
 def _cmd_bounds(args) -> int:
@@ -99,13 +100,7 @@ def _cmd_sample(args) -> int:
             vals = list(st.xi1) + list(st.dxi1) + list(st.xi2) + list(st.dxi2)
             vals += [moment_of_inertia(st, mp), H]
             lines.append(str(i) + "," + ",".join(format(v, ".17g") for v in vals))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "samples.csv").write_text(text)
-        else:
-            print(text, end="")
+        _write("\n".join(lines) + "\n", args, "samples.csv")
         return 0
     rows = []
     for i, st in enumerate(states):
@@ -165,7 +160,14 @@ def _cmd_verify_theorem(args) -> int:
     return 0 if agg["passed"] == agg["count"] else 1
 
 
+# global flags the appendix scenario cannot honour: it fixes its own config
+_APPENDIX_REJECTS = ("config", "masses", "H", "J", "tol", "regularize", "jobs")
+
+
 def _cmd_appendix(args) -> int:
+    given = [f"--{name}" for name in _APPENDIX_REJECTS if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"appendix reads only --seed, --out and --count, not {', '.join(given)}")
     count = args.count if args.count is not None else 20
     seed = args.seed if args.seed is not None else 7
     report = run_appendix_scenario(count=count, seed=seed)

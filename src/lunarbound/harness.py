@@ -205,14 +205,16 @@ class ScenarioConfig:
         if isinstance(J, (int, float)):
             J = (0.0, 0.0, J)
         r = self.ranges
+        # level, lambda, B1 and i_range may be null (unset); no other number may
+        nullable = {"level": self.level, "lambda": self.lam, "B1": self.B1}
         for name, vals in (
-            ("masses", self.masses), ("H", [self.H]), ("J", J), ("level", [self.level]),
-            ("lambda", [self.lam]), ("B1", [self.B1]), ("tol", [self.tol]),
+            ("masses", self.masses), ("H", [self.H]), ("J", J), ("tol", [self.tol]),
             ("budget_factor", [self.budget_factor]), ("i_range", self.i_range or []),
             ("sampler.inner.a1_frac", r.a1_frac), ("sampler.inner.e1", r.e1),
             ("sampler.outer", [r.i_lo_factor, r.i_hi_factor]),
+            *((k, [v]) for k, v in nullable.items() if v is not None),
         ):
-            if not all(v is None or _is_finite(v) for v in vals):
+            if not (isinstance(vals, (list, tuple, np.ndarray)) and all(map(_is_finite, vals))):
                 raise ValueError(f"{name} must hold finite numbers, got {vals!r}")
         if len(self.masses) != 3 or len(J) != 3:
             raise ValueError("masses and J must have three components")
@@ -610,14 +612,8 @@ def _sandwich_sample(cfg: ScenarioConfig, bs: BoundSet, I_bar: float, I_hi: floa
     traj_f, traj_b = (integrate(state, mp, (0.0, t1), rtol=cfg.tol, atol=cfg.tol,
                                 events=[stop_ev], max_steps=cfg.max_steps)
                       for t1 in (horizon, -horizon))
-    rep = verify_deviation(traj_f, traj_b, bs, I_bar)
-    summary = rep.summary()
-    summary["index"] = index
-    summary["I_initial"] = moment_of_inertia(state, mp)
-    if rep.ct_report is not None:
-        summary["ct_drift"] = rep.ct_report.max_drift
-        summary["ct_bound"] = rep.ct_report.bound
-    return summary
+    return {**verify_deviation(traj_f, traj_b, bs, I_bar), "index": index,
+            "I_initial": moment_of_inertia(state, mp)}
 
 
 def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -> dict:

@@ -38,7 +38,6 @@ __all__ = [
     "SandwichSolution",
     "sandwich_ode",
     "eta_bound",
-    "DeviationReport",
     "verify_deviation",
     "certify_entry",
 ]
@@ -121,16 +120,10 @@ class SandwichParams:
     horizon.
     """
 
-    I_bar: float
-    rho_bar: float
     epsilon: float
-    A: float
     a: float
-    b: float
     k: float
     omega: float
-    A1: float
-    B1: float
     c0: float
     time_horizon: float
 
@@ -142,16 +135,10 @@ def sandwich_params(bs: BoundSet, I_bar: float, c0: float, M: float) -> Sandwich
     k = min(max(2.0 * M + 3.0 * c0 * c0, 2.0 * M), 2.0 * M + 3.0 * bs.c_j2**2)
     omega = k * eps**3
     return SandwichParams(
-        I_bar=I_bar,
-        rho_bar=bs.rho_bar(I_bar),
         epsilon=eps,
-        A=bs.A,
         a=bs.a,
-        b=bs.b,
         k=k,
         omega=omega,
-        A1=bs.A1,
-        B1=bs.B1,
         c0=c0,
         time_horizon=bs.horizon(I_bar),
     )
@@ -233,90 +220,27 @@ def sandwich_ode(
     )
 
 
-@dataclass
-class DeviationReport:
-    """Measured deviation of the true outer radius from its osculating orbit.
-
-    Samples cover the window where the claim applies: |t| <= time_horizon
-    and I >= I_bar (closed at the exit instant).  violations counts samples
-    with |rho - rho_osc| >= A1 eps inside that window; the sandwich fields
-    cover the ordering and gap checks on the (shorter) window where the
-    comparison hypotheses hold.
-    """
-
-    I_bar: float
-    epsilon: float
-    bound: float          # A1 eps
-    violations: int
-    first_violation_t: Optional[float]
-    true_exit_t: Optional[float]       # first |t| where I(t) < I_bar, per side
-    osc_exit_t: Optional[float]        # first |t| where rho_osc = rho_bar
-    I_at_osc_exit: Optional[float]
-    strip_bound: float                  # I_bar + 2 alpha2 A1 + lambda
-    strip_ceiling: float                # I_bar^+
-    max_deviation: float = 0.0
-    sandwich_t_valid: float = 0.0
-    sandwich_ordering_ok: bool = True
-    eta_bound_ok: bool = True
-    ct_ok: bool = True
-    ct_report: Optional[CtDriftReport] = None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.violations == 0
-            and self.sandwich_ordering_ok
-            and self.eta_bound_ok
-            and self.ct_ok
-        )
-
-    def summary(self) -> dict:
-        return {
-            "I_bar": self.I_bar,
-            "epsilon": self.epsilon,
-            "bound": self.bound,
-            "max_deviation": self.max_deviation,
-            "violations": self.violations,
-            "first_violation_t": self.first_violation_t,
-            "true_exit_t": self.true_exit_t,
-            "osc_exit_t": self.osc_exit_t,
-            "I_at_osc_exit": self.I_at_osc_exit,
-            "strip_bound": self.strip_bound,
-            "strip_ceiling": self.strip_ceiling,
-            "sandwich_t_valid": self.sandwich_t_valid,
-            "sandwich_ordering_ok": self.sandwich_ordering_ok,
-            "eta_bound_ok": self.eta_bound_ok,
-            "ct_ok": self.ct_ok,
-            "ok": self.ok,
-        }
-
-
 def _osc_exit_time(tb0: kepler.TwoBodyState, rho_bar: float, horizon: float) -> Optional[float]:
-    """First |t| <= horizon (searching forward then backward) where the
-    osculating outer radius crosses rho_bar going down."""
-    for sgn in (+1.0, -1.0):
-        t_pc, direction = kepler.time_to_pericenter(tb0)
-        # pericenter below rho_bar is what makes the crossing certain;
-        # search in the direction that reaches pericenter
-        if sgn * direction < 0:
-            continue
-        t_hi = min(t_pc, horizon)
-        if t_hi <= 0.0:
-            continue
+    """First signed t, |t| <= horizon, where the osculating outer radius
+    crosses rho_bar going down, searched in the direction that reaches
+    pericenter: a pericenter below rho_bar is what makes the crossing
+    certain."""
+    t_pc, direction = kepler.time_to_pericenter(tb0)
+    t_hi = min(t_pc, horizon)
+    if t_hi <= 0.0:
+        return None
 
-        def radius_gap(t):
-            try:
-                return kepler.propagate(tb0, sgn * t).r - rho_bar
-            except kepler.CollisionAtTimeError:
-                return -rho_bar
+    def radius_gap(t):
+        try:
+            return kepler.propagate(tb0, direction * t).r - rho_bar
+        except kepler.CollisionAtTimeError:
+            return -rho_bar
 
-        if radius_gap(0.0) <= 0.0:
-            return 0.0
-        if radius_gap(t_hi) > 0.0:
-            continue
-        root = brentq(radius_gap, 0.0, t_hi, xtol=1e-13, maxiter=200)
-        return sgn * root
-    return None
+    if radius_gap(0.0) <= 0.0:
+        return 0.0
+    if radius_gap(t_hi) > 0.0:
+        return None
+    return direction * brentq(radius_gap, 0.0, t_hi, xtol=1e-13, maxiter=200)
 
 
 # Relative slack taken off the certificate's target radius: it covers the
@@ -381,15 +305,27 @@ def verify_deviation(
     bs: BoundSet,
     I_bar: float,
     n_samples: int = 400,
-) -> DeviationReport:
+) -> dict:
     """Measure |rho - rho_osc| along forward/backward trajectories started
     from the same state, against A1 eps, inside the qualified window.
 
     Also runs the sandwich pair from the same initial radius/speed and
     checks rho_- <= rho, rho_osc <= rho_+ and the gap bound on the window
     where the comparison field is monotone, and the angular momentum drift
-    bound on the qualified window.  All failures land in report fields; the
+    bound on the qualified window.  All failures land in the report; the
     function itself does not raise on a violated bound.
+
+    The report is a plain dict.  Samples cover the window where the claim
+    applies: |t| <= horizon and I >= I_bar (closed at the exit instant).
+    ``violations`` counts samples with |rho - rho_osc| >= ``bound`` = A1 eps
+    inside it; ``true_exit_t`` is the first |t| where I(t) < I_bar,
+    ``osc_exit_t`` the first where rho_osc = rho_bar, and ``I_at_osc_exit``
+    the true I there, against ``strip_bound`` = I_bar + 2 alpha2 A1 + lambda
+    and ``strip_ceiling`` = I_bar^+.  The sandwich fields cover the ordering
+    and gap checks on the (shorter) window where the comparison hypotheses
+    hold.  ``ct_drift`` and ``ct_bound`` are present when a side's drift
+    check applies (the side with the larger drift).  ``ok`` holds when no
+    check failed.
     """
     mp = traj_fwd.mp
     eps = bs.epsilon(I_bar)
@@ -500,23 +436,25 @@ def verify_deviation(
         if lo <= t_query <= hi:
             I_at_exit = side.inertia_at(t_query)
 
-    lam = bs.lam
-    report = DeviationReport(
-        I_bar=I_bar,
-        epsilon=eps,
-        bound=bound,
-        violations=violations,
-        first_violation_t=first_violation,
-        true_exit_t=exit_t,
-        osc_exit_t=osc_exit,
-        I_at_osc_exit=I_at_exit,
-        strip_bound=I_bar + 2.0 * mp.alpha2 * bs.A1 + lam,
-        strip_ceiling=bs.i_plus(I_bar),
-        max_deviation=float(dev.max()) if dev.size else 0.0,
-        sandwich_t_valid=t_valid_min,
-        sandwich_ordering_ok=ordering_ok,
-        eta_bound_ok=eta_ok,
-        ct_ok=ct_ok,
-        ct_report=ct_rep,
-    )
+    report = {
+        "I_bar": I_bar,
+        "epsilon": eps,
+        "bound": bound,
+        "max_deviation": float(dev.max()) if dev.size else 0.0,
+        "violations": violations,
+        "first_violation_t": first_violation,
+        "true_exit_t": exit_t,
+        "osc_exit_t": osc_exit,
+        "I_at_osc_exit": I_at_exit,
+        "strip_bound": I_bar + 2.0 * mp.alpha2 * bs.A1 + bs.lam,
+        "strip_ceiling": bs.i_plus(I_bar),
+        "sandwich_t_valid": t_valid_min,
+        "sandwich_ordering_ok": ordering_ok,
+        "eta_bound_ok": eta_ok,
+        "ct_ok": ct_ok,
+        "ok": violations == 0 and ordering_ok and eta_ok and ct_ok,
+    }
+    if ct_rep is not None:
+        report["ct_drift"] = ct_rep.max_drift
+        report["ct_bound"] = ct_rep.bound
     return report

@@ -93,7 +93,7 @@ class TestRegionConstants:
     def test_enforced_threshold_orders(self, mp_equal):
         rc = region_constants(mp_equal, APPENDIX_H, APPENDIX_J)
         a1, a2, s = mp_equal.alpha1, mp_equal.alpha2, rc.sigma
-        assert rc.i_star_eff >= rc.i_star_raw
+        assert rc.i_star_eff >= rc.i_star
         assert rc.i_star_eff >= a1 * rc.c_r**2 + a2 * rc.rho_min**2
         assert rc.i_star_eff >= a1 * rc.c_r**2 + a2 * (rc.c_r / s) ** 2
         assert rc.i_star_eff >= (a1 * s**2 + a2) * rc.rho_min**2
@@ -126,7 +126,7 @@ class TestIStarStar:
         rc = region_constants(mp_equal, APPENDIX_H, APPENDIX_J)
         rc0 = rc.__class__(**{**rc.__dict__, "c_j2": 0.0})
         assert i_star_star(rc0, mp_equal) == pytest.approx(
-            max(rc.i_star_raw, mp_equal.alpha1 * rc.c_r**2)
+            max(rc.i_star, mp_equal.alpha1 * rc.c_r**2)
         )
 
     def test_monotone_in_c_j2(self, mp_equal):
@@ -361,7 +361,7 @@ class TestI0:
         assert rc2.c_r == pytest.approx(k * rc1.c_r, rel=1e-12)
         assert rc2.c_j2**2 / mp2.M == pytest.approx(k * rc1.c_j2**2 / mp_equal.M, rel=1e-12)
         assert rc2.rho_min == pytest.approx(k * rc1.rho_min, rel=1e-12)
-        assert rc2.i_star_raw == pytest.approx(k**3 * rc1.i_star_raw, rel=1e-12)
+        assert rc2.i_star == pytest.approx(k**3 * rc1.i_star, rel=1e-12)
         assert rc2.i_star_eff == pytest.approx(k**3 * rc1.i_star_eff, rel=1e-12)
         assert i_star_star(rc2, mp2) == pytest.approx(k**3 * i_star_star(rc1, mp_equal), rel=1e-12)
         mc1 = marchal_comparison(rc1, mp_equal)

@@ -304,6 +304,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "I*" in out and "32/27" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "0"], ["--tol", "-1"], ["--regularize", "on"], ["--config", "cfg.json"],
+        ["--masses", "1", "1", "1"], ["--H", "-0.5"], ["--J", "0.1"],
+    ])
+    def test_appendix_rejects_ignored_flags(self, capsys, flags):
+        # the appendix fixes its own scenario, so these flags would be ignored
+        assert self.run_cli(*flags, "appendix", "--count", "1") == 2
+        assert flags[0] in capsys.readouterr().err
+
     def test_appendix_writes_report(self, tmp_path, capsys):
         # the checks are numpy booleans; the report used to fail to serialize
         assert self.run_cli("--out", str(tmp_path), "appendix", "--count", "1") == 0
@@ -338,11 +347,13 @@ class TestCli:
         code = self.run_cli("--masses", "1", "1", "1", "--H", "-0.5", "--J", "0.2", "bounds")
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        for key in ("c_r", "c_J2", "c_g", "c_g2", "I_star", "I_star2", "R_bar",
-                    "A1", "B1", "R", "lambda", "lambda_prime", "R_bar_lambda",
-                    "R_lambda", "I0", "marchal", "sigma"):
-            assert key in data, key
-        assert set(data["marchal"]) >= {"delta", "delta_upper", "boxes", "rho_M", "I_M"}
+        assert set(data) == {
+            "schema", "far_body", "masses", "H", "J", "sigma", "c_r", "c_J2", "c_g", "c_g2",
+            "rho_min", "I_star", "I_star_eff", "I_star2", "A", "a", "b", "A1", "B1", "R_bar",
+            "R", "lambda", "lambda_prime", "R_bar_lambda", "R_lambda", "I0", "marchal",
+            "I0_max_over_far_bodies",
+        }
+        assert set(data["marchal"]) == {"delta", "delta_upper", "boxes", "rho_M", "I_M", "lam_max"}
         assert data["schema"] == SCHEMA
         assert "c_g1" not in data
 
@@ -370,7 +381,7 @@ class TestCli:
     @pytest.mark.parametrize("path, value", [
         (("regularize",), "no"), (("sampler", "planar"), "false"), (("sampler", "seed"), 1.5),
         (("sampler", "seed"), -1), (("inbound_only",), 1), (("lazy_directions",), None),
-        (("jobs",), 0),
+        (("jobs",), 0), (("tol",), None), (("H",), None), (("masses",), 5),
     ])
     def test_config_bad_type_exit_two(self, tmp_path, capsys, path, value):
         d = appendix_cfg(count=1, level=18.0).to_dict()
