@@ -47,7 +47,6 @@ from .integrate import (
     EventSpec,
     Trajectory,
     integrate,
-    integrate_regularized,
 )
 from .osculate import osculating_orbit, sandwich_ode, verify_deviation
 from .harness import (

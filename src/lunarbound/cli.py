@@ -26,7 +26,7 @@ from .harness import (
     run_theorem_experiment,
     sample_initial_conditions,
 )
-from .integrate import integrate, integrate_regularized
+from .integrate import integrate
 
 
 class UsageError(ValueError):
@@ -127,8 +127,8 @@ def _cmd_simulate(args) -> int:
     if not 0 <= args.index < cfg.count:
         raise UsageError(f"--index must lie in [0, {cfg.count}), got {args.index}")
     (st,) = sample_initial_conditions(cfg, indices=[args.index])
-    run = integrate_regularized if cfg.regularize else integrate
-    traj = run(st, cfg.far_mp, (0.0, args.t1), rtol=cfg.tol, atol=cfg.tol)
+    traj = integrate(st, cfg.far_mp, (0.0, args.t1), rtol=cfg.tol, atol=cfg.tol,
+                     regularize=cfg.regularize)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     traj.to_csv(out_dir / "trajectory.csv")

@@ -33,7 +33,7 @@ from .bounds import BoundSet, compute_chain, i0
 from .core import (
     JacobiState, MassParams, angular_momentum, energy_split, flat_inertia, moment_of_inertia, perturbation,
 )
-from .integrate import EventSpec, integrate, integrate_regularized
+from .integrate import EventSpec, integrate
 from .osculate import certify_entry, verify_deviation
 
 __all__ = [
@@ -207,15 +207,25 @@ class ScenarioConfig:
         r = self.ranges
         # level, lambda, B1 and i_range may be null (unset); no other number may
         nullable = {"level": self.level, "lambda": self.lam, "B1": self.B1}
+        # the (low, high) ranges
+        pairs = {"sampler.inner.a1_frac": r.a1_frac, "sampler.inner.e1": r.e1,
+                 "sampler.outer.i_lo_factor, i_hi_factor": [r.i_lo_factor, r.i_hi_factor]}
+        if self.i_range is not None:
+            pairs["i_range"] = self.i_range
         for name, vals in (
             ("masses", self.masses), ("H", [self.H]), ("J", J), ("tol", [self.tol]),
-            ("budget_factor", [self.budget_factor]), ("i_range", self.i_range or []),
-            ("sampler.inner.a1_frac", r.a1_frac), ("sampler.inner.e1", r.e1),
-            ("sampler.outer", [r.i_lo_factor, r.i_hi_factor]),
+            ("budget_factor", [self.budget_factor]), *pairs.items(),
             *((k, [v]) for k, v in nullable.items() if v is not None),
         ):
             if not (isinstance(vals, (list, tuple, np.ndarray)) and all(map(_is_finite, vals))):
                 raise ValueError(f"{name} must hold finite numbers, got {vals!r}")
+        for name, vals in pairs.items():
+            if len(vals) != 2 or not vals[0] <= vals[1]:
+                raise ValueError(f"{name} must be two numbers, low <= high, got {list(vals)!r}")
+        if not r.a1_frac[0] > 0.0:
+            raise ValueError(f"sampler.inner.a1_frac must be positive, got {list(r.a1_frac)!r}")
+        if not (r.e1[0] >= 0.0 and r.e1[1] < 1.0):
+            raise ValueError(f"sampler.inner.e1 must lie in [0, 1), got {list(r.e1)!r}")
         if len(self.masses) != 3 or len(J) != 3:
             raise ValueError("masses and J must have three components")
         if not self.H < 0.0:
@@ -235,7 +245,7 @@ class ScenarioConfig:
             raise ValueError("tol and budget_factor must be positive")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         object.__setattr__(self, "J", tuple(float(v) for v in J))
-        object.__setattr__(self, "i_range", tuple(self.i_range) if self.i_range else None)
+        object.__setattr__(self, "i_range", tuple(self.i_range) if self.i_range is not None else None)
 
     @property
     def mp(self) -> MassParams:
@@ -497,11 +507,10 @@ def _first_entry(state: JacobiState, mp: MassParams, bs: BoundSet, level: float,
         terminal=True,
         payload={"level": level},
     )
-    run = integrate_regularized if cfg.regularize else integrate
-    traj = run(
+    traj = integrate(
         state, mp, (0.0, sign * t_budget),
         rtol=cfg.tol, atol=cfg.tol,
-        events=[ev], max_steps=cfg.max_steps, dense=False,
+        events=[ev], max_steps=cfg.max_steps, dense=False, regularize=cfg.regularize,
     )
     entries = [e for e in traj.events if e.kind == "entry"]
     if entries:

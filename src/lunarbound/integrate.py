@@ -30,8 +30,9 @@ root.
 
 Collisions of the inner binary can be crossed by switching the short Jacobi
 vector to Kustaanheimo-Stiefel variables with the time rescaling dt = r ds
-while r is below a switch radius (integrate_regularized); the outer vector
-stays in physical coordinates, evolved in the fictitious time alongside.
+while r is below a switch radius (integrate(..., regularize=True)); the
+outer vector stays in physical coordinates, evolved in the fictitious time
+alongside.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "Trajectory",
     "run_steps",
     "integrate",
-    "integrate_regularized",
 ]
 
 DEFAULT_RTOL = 1e-12
@@ -736,7 +736,7 @@ def _locate_events(specs, crossed, s_prev, s_now, seg, t_now, y_now, events_out)
 
 
 # ---------------------------------------------------------------------------
-# Integration: one step loop in physical time
+# Integration: one step loop, in physical time and in KS stints
 
 def integrate(
     initial: JacobiState,
@@ -748,6 +748,7 @@ def integrate(
     max_steps: int = DEFAULT_MAX_STEPS,
     kepler_only: bool = False,
     dense: bool = True,
+    regularize: bool = False,
 ) -> Trajectory:
     """Adaptive integration of the full field over span = (t0, t1).
 
@@ -755,18 +756,23 @@ def integrate(
     (test hook).  ``dense=False`` keeps no interpolants: a step builds one
     only to localize an event that changes sign over it, and state_at()
     becomes unavailable.  The node arrays t and y are kept either way.
-    """
-    return _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, dense,
-                      regularize=False, r_switch=None)
 
+    ``regularize`` passes through inner-binary collisions.  While r is above
+    the switch radius r_switch = KS_SWITCH_FRACTION * beta1/|H| the run is
+    the same step loop with a passive terminal guard at r = r_switch, so
+    non-collisional runs produce bitwise identical trajectories.  Below it
+    the inner vector evolves in KS variables with dt = r ds, on the same
+    step loop with the KS clock: events, the bound t1 and the radial minima
+    are bracketed and polished in s, and the run ends exactly on t1.  Each
+    radial minimum whose r is at most KS_COLLISION_FRACTION * r_switch is
+    logged as a collision_regularized event carrying the duration of the
+    stint, unless it lies past the run's end.  The stint hands back to
+    physical time at a step end where r >= KS_EXIT_FACTOR * r_switch.
+    Outer collisions (rho -> 0) are not regularized and still raise.
 
-def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, dense,
-               regularize, r_switch) -> Trajectory:
-    """Run shared by integrate() and integrate_regularized(): physical
-    phases, and with ``regularize`` KS stints below r_switch (by default
-    KS_SWITCH_FRACTION of the binary's natural length), all on run_steps.
     A phase that fails on a step size underflow raises
-    IntegrationSingularityError here."""
+    IntegrationSingularityError.
+    """
     t0, t1 = float(span[0]), float(span[1])
     if t0 == t1:
         raise ValueError("empty time span")
@@ -776,8 +782,7 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
     specs = list(events)
     cart_specs = specs
     if regularize:
-        if r_switch is None:
-            r_switch = KS_SWITCH_FRACTION * mp.beta1 / abs(h0)
+        r_switch = KS_SWITCH_FRACTION * mp.beta1 / abs(h0)
         sgn = 1.0 if t1 > t0 else -1.0
         # terminal guard that hands the run to a KS stint at r = r_switch
         guard = EventSpec(name="_switch",
@@ -802,7 +807,7 @@ def _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, de
     out_events: List[Event] = []
     n_steps = 0
     t_now = t0
-    mode = "ks" if r_switch is not None and initial.r < r_switch else "cart"
+    mode = "ks" if regularize and initial.r < r_switch else "cart"
 
     while True:
         if n_steps >= max_steps:
@@ -1032,33 +1037,3 @@ def _make_ks_rhs(mp: MassParams, kepler_only: bool, direction: float):
         ]
 
     return _float_rhs(field)
-
-
-def integrate_regularized(
-    initial: JacobiState,
-    mp: MassParams,
-    span: Tuple[float, float],
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    events: Sequence[EventSpec] = (),
-    max_steps: int = DEFAULT_MAX_STEPS,
-    kepler_only: bool = False,
-    dense: bool = True,
-    r_switch: Optional[float] = None,
-) -> Trajectory:
-    """Like integrate(), but passes through inner-binary collisions.
-
-    While r > r_switch this runs the step loop of integrate() with a passive
-    terminal guard at r = r_switch, so non-collisional runs produce bitwise
-    identical trajectories.  Below the switch radius the inner vector
-    evolves in KS variables with dt = r ds, on the same step loop with the
-    KS clock: events, the bound t1 and the radial minima are bracketed and
-    polished in s, and the run ends exactly on t1.  Each radial minimum
-    whose r is at most KS_COLLISION_FRACTION * r_switch is logged as a
-    collision_regularized event carrying the duration of the stint, unless
-    it lies past the run's end.  The stint hands back to physical time at a
-    step end where r >= KS_EXIT_FACTOR * r_switch.  Outer collisions
-    (rho -> 0) are not regularized and still raise.
-    """
-    return _integrate(initial, mp, span, rtol, atol, events, max_steps, kepler_only, dense,
-                      regularize=True, r_switch=r_switch)

@@ -26,13 +26,11 @@ import numpy as np
 from . import kepler
 from .bounds import BoundSet
 from .core import JacobiState, MassParams, _float_rhs
-from .integrate import DenseSolution, EventSpec, Trajectory, run_steps
+from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, DenseSolution, EventSpec, Trajectory, run_steps
 from .roots import brentq
 
 __all__ = [
     "osculating_orbit",
-    "CtDriftReport",
-    "ct_drift",
     "SandwichParams",
     "sandwich_params",
     "SandwichSolution",
@@ -44,69 +42,15 @@ __all__ = [
 
 
 def osculating_orbit(
-    traj: Trajectory, t: float, which: str = "outer"
+    traj: Trajectory, t: float
 ) -> Tuple[kepler.KeplerElements, kepler.TwoBodyState]:
-    """Freeze the chosen Jacobi vector at time t into a two-body problem.
-
-    which = "inner" uses kappa = mu, "outer" kappa = M.
-    """
+    """Freeze the outer Jacobi vector at time t into a two-body problem with
+    kappa = M."""
     st = traj.state_at(t)
-    mp = traj.mp
-    if which == "outer":
-        tb = kepler.TwoBodyState(xi=st.xi2, dxi=st.dxi2, kappa=mp.M)
-    elif which == "inner":
-        tb = kepler.TwoBodyState(xi=st.xi1, dxi=st.dxi1, kappa=mp.mu)
-    else:
-        raise ValueError("which must be 'inner' or 'outer'")
+    tb = kepler.TwoBodyState(xi=st.xi2, dxi=st.dxi2, kappa=traj.mp.M)
     if tb.r == 0.0:
         raise ValueError(f"degenerate radius at t = {t}")
     return kepler.elements_from_state(tb), tb
-
-
-@dataclass(frozen=True)
-class CtDriftReport:
-    applicable: bool
-    reason: str
-    c0: float
-    max_drift: float
-    bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.applicable and self.max_drift <= self.bound
-
-
-def ct_drift(
-    traj: Trajectory,
-    span: Tuple[float, float],
-    I_bar: float,
-    bs: BoundSet,
-) -> CtDriftReport:
-    """Measured drift of the squared outer angular momentum against b eps^(3/2).
-
-    Conditional estimate: the trajectory must stay in I >= I_bar over the
-    span and |span| must fit in the horizon B1 eps^(-3/2); otherwise the
-    report is flagged not applicable rather than failed.
-    """
-    eps = bs.epsilon(I_bar)
-    horizon = bs.horizon(I_bar)
-    lo, hi = min(span), max(span)
-    mask = (traj.t >= lo) & (traj.t <= hi)
-    if not mask.any():
-        return CtDriftReport(False, "span outside trajectory", 0.0, 0.0, 0.0)
-    if max(abs(lo), abs(hi)) > horizon * (1 + 1e-12):
-        return CtDriftReport(False, "span exceeds horizon", 0.0, 0.0, 0.0)
-    I_nodes = traj.inertia_nodes()[mask]
-    if I_nodes.min() < I_bar * (1 - 1e-12):
-        return CtDriftReport(False, "trajectory leaves I >= I_bar", 0.0, 0.0, 0.0)
-    y = traj.y[mask]
-    c_vec = np.cross(y[:, 3:6], y[:, 9:12])
-    c2 = np.sum(c_vec**2, axis=1)
-    idx0 = int(np.argmin(np.abs(traj.t[mask])))
-    c0_sq = float(c2[idx0])
-    drift = float(np.max(np.abs(c2 - c0_sq)))
-    bound = bs.b * eps**1.5
-    return CtDriftReport(True, "", math.sqrt(c0_sq), drift, bound)
 
 
 @dataclass(frozen=True)
@@ -160,7 +104,6 @@ class SandwichSolution:
     to which the comparison hypotheses held.
     """
 
-    direction: int
     t_valid: float
     monotone_ok: bool
     sol_minus: DenseSolution
@@ -180,8 +123,6 @@ def sandwich_ode(
     M: float,
     direction: int = +1,
     forcing: Optional[float] = None,
-    rtol: float = 1e-12,
-    atol: float = 1e-12,
 ) -> SandwichSolution:
     """Integrate rho''_± = c0^2 rho^-3 - M rho^-2 ± a eps^4 from the true
     initial radius and radial speed, densely, out to the horizon.
@@ -206,13 +147,12 @@ def sandwich_ode(
     for sgn in (-1.0, +1.0):
         field = lambda y, g=sgn * f: [y[1], c0sq / y[0]**3 - M / y[0]**2 + g]
         res = run_steps(_float_rhs(field), [rho0, drho0], 0.0, direction * sp.time_horizon,
-                        rtol, atol, [hit_floor], budget=math.inf, dense=True)
+                        DEFAULT_RTOL, DEFAULT_ATOL, [hit_floor], budget=math.inf, dense=True)
         if res.status != "completed":
             monotone_ok = False
             t_valid = min(t_valid, abs(res.exit_t))
         runs.append(DenseSolution(res.segments))
     return SandwichSolution(
-        direction=direction,
         t_valid=t_valid,
         monotone_ok=monotone_ok,
         sol_minus=runs[0],
@@ -301,103 +241,87 @@ def certify_entry(
 
 def verify_deviation(
     traj_fwd: Trajectory,
-    traj_bwd: Optional[Trajectory],
+    traj_bwd: Trajectory,
     bs: BoundSet,
     I_bar: float,
     n_samples: int = 400,
 ) -> dict:
-    """Measure |rho - rho_osc| along forward/backward trajectories started
-    from the same state, against A1 eps, inside the qualified window.
+    """Check the deviation estimate along the forward and backward
+    trajectories started from the same state at t = 0.
 
-    Also runs the sandwich pair from the same initial radius/speed and
-    checks rho_- <= rho, rho_osc <= rho_+ and the gap bound on the window
-    where the comparison field is monotone, and the angular momentum drift
-    bound on the qualified window.  All failures land in the report; the
-    function itself does not raise on a violated bound.
+    One pass per side finds its window w = min(horizon, |t_end|, |t_exit|),
+    where t_exit is the first time I(t) < I_bar (the claim holds at or above
+    I_bar, closed at the exit instant); then, over that window, it measures
+    |rho - rho_osc| at n_samples // 2 evenly spaced times against A1 eps,
+    the drift max |c^2 - c^2(0)| of the squared outer angular momentum over
+    the nodes against b eps^(3/2), and the sandwich pair's ordering
+    rho_- <= rho, rho_osc <= rho_+ and gap bound on [0, min(t_valid, w)],
+    where the comparison hypotheses hold.  A side with w = 0 checks nothing.
+    All failures land in the report; the function itself does not raise on
+    a violated bound.
 
-    The report is a plain dict.  Samples cover the window where the claim
-    applies: |t| <= horizon and I >= I_bar (closed at the exit instant).
-    ``violations`` counts samples with |rho - rho_osc| >= ``bound`` = A1 eps
-    inside it; ``true_exit_t`` is the first |t| where I(t) < I_bar,
-    ``osc_exit_t`` the first where rho_osc = rho_bar, and ``I_at_osc_exit``
-    the true I there, against ``strip_bound`` = I_bar + 2 alpha2 A1 + lambda
-    and ``strip_ceiling`` = I_bar^+.  The sandwich fields cover the ordering
-    and gap checks on the (shorter) window where the comparison hypotheses
-    hold.  ``ct_drift`` and ``ct_bound`` are present when a side's drift
-    check applies (the side with the larger drift).  ``ok`` holds when no
+    The report is a plain dict.  ``violations`` counts samples with
+    |rho - rho_osc| >= ``bound`` = A1 eps, ``first_violation_t`` is the
+    violating time of least |t| (the negative one on a tie);
+    ``true_exit_t`` is the t_exit of least |t| (the forward one on a tie),
+    ``osc_exit_t`` the first t where rho_osc = rho_bar, and
+    ``I_at_osc_exit`` the true I there, against ``strip_bound`` = I_bar +
+    2 alpha2 A1 + lambda and ``strip_ceiling`` = I_bar^+.
+    ``sandwich_t_valid`` is the shorter side's sandwich window.
+    ``ct_drift`` (the larger of the two sides' drifts) and ``ct_bound``
+    are present when a side has w > 0.  ``ok`` holds when no
     check failed.
     """
     mp = traj_fwd.mp
     eps = bs.epsilon(I_bar)
-    rho_bar = bs.rho_bar(I_bar)
     horizon = bs.horizon(I_bar)
     bound = bs.A1 * eps
+    ct_bound = bs.b * eps**1.5
 
-    el0, tb0 = osculating_orbit(traj_fwd, traj_fwd.t0, which="outer")
-    c0 = el0.c
-    sp = sandwich_params(bs, I_bar, c0, mp.M)
-
-    def qualified_window(traj: Trajectory) -> float:
-        """Largest |t| within horizon and I >= I_bar (closed at the exit)."""
-        I = traj.inertia_nodes()
-        below = np.where(I < I_bar)[0]
-        t_exit = None
-        if below.size > 0 and below[0] > 0:
-            i = below[0]
-            lo, hi = sorted((float(traj.t[i - 1]), float(traj.t[i])))
-            t_exit = brentq(
-                lambda t: traj.inertia_at(t) - I_bar, lo, hi, xtol=1e-13
-            )
-        elif below.size > 0:
-            t_exit = traj.t0
-        t_last = abs(traj.t_end - 0.0)
-        w = min(horizon, t_last)
-        if t_exit is not None:
-            w = min(w, abs(t_exit))
-        return w, t_exit
-
-    w_fwd, exit_fwd = qualified_window(traj_fwd)
-    trajs = [(traj_fwd, +1.0, w_fwd)]
-    exits = [exit_fwd]
-    if traj_bwd is not None:
-        w_bwd, exit_bwd = qualified_window(traj_bwd)
-        trajs.append((traj_bwd, -1.0, w_bwd))
-        exits.append(exit_bwd)
-    exits = [t for t in exits if t is not None]
-    exit_t = min(exits, key=abs) if exits else None
-
-    times, rho_t, rho_o = [], [], []
-    for traj, sgn, w in trajs:
-        if w <= 0.0:
-            continue
-        ts = np.linspace(0.0, sgn * w, max(n_samples // len(trajs), 8))
-        for t in ts:
-            st = traj.state_at(t)
-            times.append(t)
-            rho_t.append(st.rho)
-            rho_o.append(kepler.propagate(tb0, t).r)
-    times = np.array(times)
-    order = np.argsort(times)
-    times = times[order]
-    rho_t = np.array(rho_t)[order]
-    rho_o = np.array(rho_o)[order]
-    dev = np.abs(rho_t - rho_o)
-    bad = np.where(dev >= bound)[0]
-    violations = int(bad.size)
-    first_violation = float(times[bad[np.argmin(np.abs(times[bad]))]]) if violations else None
-
-    # sandwich checks from the same initial conditions
-    st0 = traj_fwd.state_at(traj_fwd.t0)
-    rho0 = st0.rho
-    drho0 = float(st0.xi2 @ st0.dxi2) / rho0
-    ordering_ok = True
-    eta_ok = True
-    t_valid_min = horizon
+    el0, tb0 = osculating_orbit(traj_fwd, traj_fwd.t0)
+    sp = sandwich_params(bs, I_bar, el0.c, mp.M)
+    rho0 = tb0.r
+    drho0 = float(tb0.xi @ tb0.dxi) / rho0
     slack = 1e-10 * max(rho0, 1.0)
-    for traj, sgn, w in trajs:
+
+    max_deviation, violations = 0.0, 0
+    first_violation = exit_t = ct_drift = None
+    ordering_ok = eta_ok = ct_ok = True
+    t_valid_min = horizon
+    for traj, sgn in ((traj_fwd, +1), (traj_bwd, -1)):
+        below = np.where(traj.inertia_nodes() < I_bar)[0]
+        w = min(horizon, abs(traj.t_end))
+        if below.size > 0:
+            i = below[0]
+            if i > 0:
+                lo, hi = sorted((float(traj.t[i - 1]), float(traj.t[i])))
+                t_exit = brentq(lambda t: traj.inertia_at(t) - I_bar, lo, hi, xtol=1e-13)
+            else:
+                t_exit = traj.t0
+            w = min(w, abs(t_exit))
+            if exit_t is None or abs(t_exit) < abs(exit_t):
+                exit_t = t_exit
         if w <= 0.0:
             continue
-        sw = sandwich_ode(rho0, drho0, sp, mp.M, direction=int(sgn))
+
+        ts = np.linspace(0.0, sgn * w, max(n_samples // 2, 8))
+        dev = np.abs(np.array([traj.state_at(t).rho for t in ts])
+                     - np.array([kepler.propagate(tb0, t).r for t in ts]))
+        max_deviation = max(max_deviation, float(dev.max()))
+        bad = ts[dev >= bound]
+        violations += int(bad.size)
+        # ts runs away from t = 0, so bad[0] is this side's violation of least |t|
+        if bad.size and (first_violation is None or abs(bad[0]) <= abs(first_violation)):
+            first_violation = float(bad[0])
+
+        y = traj.y[np.abs(traj.t) <= w]
+        c2 = np.sum(np.cross(y[:, 3:6], y[:, 9:12]) ** 2, axis=1)
+        drift = float(np.max(np.abs(c2 - c2[0])))
+        ct_ok = ct_ok and drift <= ct_bound
+        if ct_drift is None or drift > ct_drift:
+            ct_drift = drift
+
+        sw = sandwich_ode(rho0, drho0, sp, mp.M, direction=sgn)
         t_valid = min(sw.t_valid, w)
         t_valid_min = min(t_valid_min, t_valid)
         if t_valid <= 0.0:
@@ -410,37 +334,21 @@ def verify_deviation(
         if np.any(rm > rt + slack) or np.any(rt > rp + slack) \
            or np.any(rm > ro + slack) or np.any(ro > rp + slack):
             ordering_ok = False
-        eta = rp - rm
-        if np.any(eta > eta_bound(sp, ts) + slack):
+        if np.any(rp - rm > eta_bound(sp, ts) + slack):
             eta_ok = False
 
-    ct_rep_sides = []
-    for traj, sgn, w in trajs:
-        if w > 0.0:
-            ct_rep_sides.append(ct_drift(traj, (0.0, sgn * w), I_bar, bs))
-    ct_rep = None
-    ct_ok = True
-    for rep in ct_rep_sides:
-        if rep.applicable:
-            if ct_rep is None or rep.max_drift > ct_rep.max_drift:
-                ct_rep = rep
-            ct_ok = ct_ok and rep.ok
-
-    osc_exit = _osc_exit_time(tb0, rho_bar, horizon)
+    osc_exit = _osc_exit_time(tb0, bs.rho_bar(I_bar), horizon)
     I_at_exit = None
     if osc_exit is not None:
-        side = traj_fwd if osc_exit >= 0 else (traj_bwd or traj_fwd)
-        t_query = osc_exit
-        lo = min(side.t0, side.t_end)
-        hi = max(side.t0, side.t_end)
-        if lo <= t_query <= hi:
-            I_at_exit = side.inertia_at(t_query)
+        side = traj_fwd if osc_exit >= 0 else traj_bwd
+        if min(side.t0, side.t_end) <= osc_exit <= max(side.t0, side.t_end):
+            I_at_exit = side.inertia_at(osc_exit)
 
     report = {
         "I_bar": I_bar,
         "epsilon": eps,
         "bound": bound,
-        "max_deviation": float(dev.max()) if dev.size else 0.0,
+        "max_deviation": max_deviation,
         "violations": violations,
         "first_violation_t": first_violation,
         "true_exit_t": exit_t,
@@ -454,7 +362,7 @@ def verify_deviation(
         "ct_ok": ct_ok,
         "ok": violations == 0 and ordering_ok and eta_ok and ct_ok,
     }
-    if ct_rep is not None:
-        report["ct_drift"] = ct_rep.max_drift
-        report["ct_bound"] = ct_rep.bound
+    if ct_drift is not None:
+        report["ct_drift"] = ct_drift
+        report["ct_bound"] = ct_bound
     return report

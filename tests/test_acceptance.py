@@ -52,7 +52,7 @@ from lunarbound.harness import (
     run_theorem_experiment,
     sample_initial_conditions,
 )
-from lunarbound.integrate import integrate, integrate_regularized
+from lunarbound.integrate import integrate
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -106,7 +106,7 @@ class TestCriterion3:
     def test_radial_fall_time(self):
         mp = MassParams(0.5, 0.5, 1e-8)  # inner two-body problem at kappa = 1
         st = JacobiState(xi1=[1.0, 0, 0], dxi1=[0, 0, 0], xi2=[0, 0, 1e6], dxi2=[0, 0, 0])
-        traj = integrate_regularized(st, mp, (0.0, 1.5))
+        traj = integrate(st, mp, (0.0, 1.5), regularize=True)
         cols = [e for e in traj.events if e.kind == "collision_regularized"]
         assert cols, "no regularized collision recorded"
         expected = math.pi / math.sqrt(8.0)

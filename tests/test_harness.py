@@ -382,6 +382,10 @@ class TestCli:
         (("regularize",), "no"), (("sampler", "planar"), "false"), (("sampler", "seed"), 1.5),
         (("sampler", "seed"), -1), (("inbound_only",), 1), (("lazy_directions",), None),
         (("jobs",), 0), (("tol",), None), (("H",), None), (("masses",), 5),
+        (("i_range",), [5]), (("i_range",), [1, 2, 3]), (("i_range",), [8, 4]),
+        (("sampler", "outer", "i_lo_factor"), 20.0), (("sampler", "inner", "a1_frac"), [0.2]),
+        (("sampler", "inner", "a1_frac"), [-0.5, 0.2]), (("sampler", "inner", "e1"), [0.5, 1.5]),
+        (("sampler", "inner", "e1"), [-0.5, 0.2]),
     ])
     def test_config_bad_type_exit_two(self, tmp_path, capsys, path, value):
         d = appendix_cfg(count=1, level=18.0).to_dict()

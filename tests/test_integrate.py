@@ -22,7 +22,6 @@ from lunarbound.integrate import (
     _attempt_for,
     IntegrationSingularityError,
     integrate,
-    integrate_regularized,
 )
 
 from conftest import coupling_term_sizes, outer_pericenter_event
@@ -206,7 +205,7 @@ class TestRegularized:
         mp, st = two_body_collision_setup()
         t_col = math.pi / math.sqrt(8.0)
         # end between the bounce and the next apocenter: outbound there
-        traj = integrate_regularized(st, mp, (0.0, 1.6 * t_col), kepler_only=True)
+        traj = integrate(st, mp, (0.0, 1.6 * t_col), kepler_only=True, regularize=True)
         cols = [e for e in traj.events if e.kind == "collision_regularized"]
         assert len(cols) == 1
         assert cols[0].t == pytest.approx(t_col, abs=1e-9)
@@ -220,7 +219,7 @@ class TestRegularized:
     def test_multiple_passages(self):
         mp, st = two_body_collision_setup()
         t_col = math.pi / math.sqrt(8.0)
-        traj = integrate_regularized(st, mp, (0.0, 4 * t_col), kepler_only=True)
+        traj = integrate(st, mp, (0.0, 4 * t_col), kepler_only=True, regularize=True)
         cols = [e for e in traj.events if e.kind == "collision_regularized"]
         assert len(cols) == 2
         assert cols[1].t == pytest.approx(3 * t_col, abs=1e-8)
@@ -236,12 +235,12 @@ class TestRegularized:
         # radial minimum, which lies past the run's end
         mp, st = two_body_collision_setup()
         t_col = math.pi / math.sqrt(8.0)
-        traj = integrate_regularized(st, mp, (0.0, sign * (t_col - 1e-5)), kepler_only=True)
+        traj = integrate(st, mp, (0.0, sign * (t_col - 1e-5)), kepler_only=True, regularize=True)
         assert traj.status == "completed" and traj.events == []
         assert traj.r_nodes()[-1] < self.r_switch(mp, st)
         stop = EventSpec("stop", lambda t, y: t - sign * (t_col - 1e-4), sign, True)
-        traj = integrate_regularized(st, mp, (0.0, sign * 2 * t_col), events=[stop],
-                                     kepler_only=True)
+        traj = integrate(st, mp, (0.0, sign * 2 * t_col), events=[stop],
+                         kepler_only=True, regularize=True)
         assert traj.status == "event"
         assert [e.kind for e in traj.events] == ["stop"]
         assert traj.r_nodes()[-1] < self.r_switch(mp, st)
@@ -250,7 +249,7 @@ class TestRegularized:
     def test_run_end_inside_a_ks_stint_lands_on_t1(self, sign):
         mp, st = two_body_collision_setup()
         t1 = sign * (math.pi / math.sqrt(8.0) + 1e-4)
-        traj = integrate_regularized(st, mp, (0.0, t1), kepler_only=True)
+        traj = integrate(st, mp, (0.0, t1), kepler_only=True, regularize=True)
         assert traj.status == "completed" and traj.t_end == t1
         assert [e.kind for e in traj.events] == ["collision_regularized"]
         assert traj.r_nodes()[-1] < self.r_switch(mp, st)
@@ -259,7 +258,7 @@ class TestRegularized:
         mp, st = hierarchical_state()  # binary never below the switch radius
         ev = outer_pericenter_event()
         a = integrate(st, mp, (0.0, 40.0), events=[ev])
-        b = integrate_regularized(st, mp, (0.0, 40.0), events=[ev])
+        b = integrate(st, mp, (0.0, 40.0), events=[ev], regularize=True)
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.y, b.y)
         assert [e.t for e in a.events] == [e.t for e in b.events]
@@ -277,7 +276,7 @@ class TestRegularized:
         )
         T1 = 2 * math.pi * math.sqrt(a1**3 / mp.mu)
         span = (0.0, 0.6 * T1)  # through one pericenter passage
-        reg = integrate_regularized(st, mp, span, max_steps=20000)
+        reg = integrate(st, mp, span, max_steps=20000, regularize=True)
         assert reg.complete
         drift_reg = np.abs(reg.h_resid).max()
         assert drift_reg < 1e-8
@@ -288,7 +287,7 @@ class TestRegularized:
     def test_backward_through_collision(self):
         mp, st = two_body_collision_setup()
         t_col = math.pi / math.sqrt(8.0)
-        traj = integrate_regularized(st, mp, (0.0, -2.5), kepler_only=True)
+        traj = integrate(st, mp, (0.0, -2.5), kepler_only=True, regularize=True)
         cols = [e for e in traj.events if e.kind == "collision_regularized"]
         assert len(cols) == 1
         assert cols[0].t == pytest.approx(-t_col, abs=1e-9)
@@ -299,7 +298,7 @@ class TestRegularized:
         mp = MassParams(1.0, 1.0, 1.0)
         st = JacobiState(xi1=[0.5, 0, 0], dxi1=[0, 2.3, 0], xi2=[0, 1.0, 0], dxi2=[0, -0.5, 0])
         with pytest.raises(IntegrationSingularityError):
-            integrate_regularized(st, mp, (0.0, 10.0), kepler_only=True)
+            integrate(st, mp, (0.0, 10.0), kepler_only=True, regularize=True)
 
 
 class TestLeanStepLoop:
@@ -398,7 +397,7 @@ class TestLeanStepLoop:
         monkeypatch.setattr(module, "DOP853", CountingDOP853)
         mp, st = two_body_collision_setup()
         t_col = math.pi / math.sqrt(8.0)
-        traj = integrate_regularized(st, mp, (0.0, 4 * t_col), kepler_only=True, dense=False)
+        traj = integrate(st, mp, (0.0, 4 * t_col), kepler_only=True, dense=False, regularize=True)
         cols = [e for e in traj.events if e.kind == "collision_regularized"]
         assert len(cols) == 2 and traj.n_steps > 50
         # per passage, one interpolant locates the switch radius on the way

@@ -20,7 +20,6 @@ from lunarbound.harness import (
 from lunarbound.integrate import EventSpec, integrate
 from lunarbound.osculate import (
     certify_entry,
-    ct_drift,
     eta_bound,
     osculating_orbit,
     sandwich_ode,
@@ -60,16 +59,16 @@ class TestOsculatingOrbit:
             xi2=[9.0, 0, 0], dxi2=[-0.1, 0.2, 0.0],
         )
         traj = integrate(st, mp, (0.0, 40.0), kepler_only=True)
-        el0, _ = osculating_orbit(traj, 0.0, "outer")
+        el0, _ = osculating_orbit(traj, 0.0)
         for t in np.linspace(0.0, 40.0, 9):
-            el, _ = osculating_orbit(traj, t, "outer")
+            el, _ = osculating_orbit(traj, t)
             assert el.h == pytest.approx(el0.h, abs=1e-9)
             assert np.abs(el.c_vec - el0.c_vec).max() < 1e-9
             assert np.abs(el.e_vec - el0.e_vec).max() < 1e-9
 
     def test_energy_matches_split(self, sample_trajectories):
         mp, bs, I_bar, state, fwd, _ = sample_trajectories
-        el, tb = osculating_orbit(fwd, 0.0, "outer")
+        el, tb = osculating_orbit(fwd, 0.0)
         _, _, H2, _ = energy_split(state, mp)
         assert mp.alpha2 * el.h == pytest.approx(H2, rel=1e-12)
 
@@ -79,71 +78,16 @@ class TestOsculatingOrbit:
         mp, bs, I_bar, state, fwd, _ = sample_trajectories
         eps = bs.epsilon(I_bar)
         t1 = min(5.0, abs(fwd.t_end))
-        el0, _ = osculating_orbit(fwd, 0.0, "outer")
-        el1, _ = osculating_orbit(fwd, t1, "outer")
+        el0, _ = osculating_orbit(fwd, 0.0)
+        el1, _ = osculating_orbit(fwd, t1)
         drift_rate = abs(el1.h - el0.h) / t1
         assert drift_rate < bs.A * eps**3  # |dh/dt| <= |F| |v| ~ A eps^4 / eps
-
-    def test_inner_option(self, sample_trajectories):
-        mp, bs, I_bar, state, fwd, _ = sample_trajectories
-        el, tb = osculating_orbit(fwd, 0.0, "inner")
-        assert tb.kappa == mp.mu
-        assert el.h == pytest.approx(0.5 * float(state.dxi1 @ state.dxi1) - mp.mu / state.r)
-
-
-class TestCtDrift:
-    def test_zero_without_coupling(self, appendix_chain):
-        bs = appendix_chain
-        mp = bs.mp
-        st = JacobiState(
-            xi1=[0.3, 0, 0], dxi1=[0, math.sqrt(mp.mu / 0.3), 0],
-            xi2=[10.0, 0, 0], dxi2=[0.05, 0.25, 0.0],
-        )  # outbound: stays above the reference level over the span
-        traj = integrate(st, mp, (0.0, 20.0), kepler_only=True)
-        I_bar = bs.R_bar
-        rep = ct_drift(traj, (0.0, 20.0), I_bar, bs)
-        assert rep.applicable
-        assert rep.max_drift < 1e-12
-
-    def test_measured_below_bound(self, sample_trajectories):
-        mp, bs, I_bar, state, fwd, _ = sample_trajectories
-        w = min(abs(fwd.t_end), bs.B1 * bs.epsilon(I_bar) ** -1.5)
-        rep = ct_drift(fwd, (0.0, w), I_bar, bs)
-        assert rep.applicable and rep.ok
-        assert rep.max_drift < rep.bound
-
-    def test_not_applicable_outside_region(self, appendix_chain):
-        bs = appendix_chain
-        mp = bs.mp
-        st = JacobiState(
-            xi1=[0.3, 0, 0], dxi1=[0, math.sqrt(mp.mu / 0.3), 0],
-            xi2=[3.0, 0, 0], dxi2=[0.0, 0.4, 0.0],
-        )  # I(0) far below R_bar
-        traj = integrate(st, mp, (0.0, 5.0))
-        rep = ct_drift(traj, (0.0, 5.0), bs.R_bar, bs)
-        assert not rep.applicable
-
-    def test_drift_slope_in_time(self, sample_trajectories):
-        # |c_t - c_0| grows about linearly at small |t| (log-log slope ~ 1)
-        mp, bs, I_bar, state, fwd, _ = sample_trajectories
-        el0, tb0 = osculating_orbit(fwd, 0.0, "outer")
-        c0 = el0.c
-        ts = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-        ts = ts[ts < abs(fwd.t_end)]
-        drifts = []
-        for t in ts:
-            s = fwd.state_at(t)
-            drifts.append(abs(float(np.linalg.norm(np.cross(s.xi2, s.dxi2))) - c0))
-        drifts = np.array(drifts)
-        if np.all(drifts > 0):
-            slope = np.polyfit(np.log(ts), np.log(drifts), 1)[0]
-            assert 0.5 < slope < 2.5
 
 
 class TestSandwichOde:
     def test_zero_forcing_reproduces_osculating_radius(self, sample_trajectories):
         mp, bs, I_bar, state, fwd, _ = sample_trajectories
-        el0, tb0 = osculating_orbit(fwd, 0.0, "outer")
+        el0, tb0 = osculating_orbit(fwd, 0.0)
         sp = sandwich_params(bs, I_bar, el0.c, mp.M)
         rho0 = state.rho
         drho0 = float(state.xi2 @ state.dxi2) / rho0
@@ -156,7 +100,7 @@ class TestSandwichOde:
 
     def test_ordering_and_eta_bound(self, sample_trajectories):
         mp, bs, I_bar, state, fwd, _ = sample_trajectories
-        el0, tb0 = osculating_orbit(fwd, 0.0, "outer")
+        el0, tb0 = osculating_orbit(fwd, 0.0)
         sp = sandwich_params(bs, I_bar, el0.c, mp.M)
         rho0 = state.rho
         drho0 = float(state.xi2 @ state.dxi2) / rho0
@@ -176,7 +120,7 @@ class TestSandwichOde:
         # the desk-scale forcing a*eps^4 is enormous, so the minorant hits
         # the floor well inside the horizon and the solution says so
         mp, bs, I_bar, state, fwd, _ = sample_trajectories
-        el0, _ = osculating_orbit(fwd, 0.0, "outer")
+        el0, _ = osculating_orbit(fwd, 0.0)
         sp = sandwich_params(bs, I_bar, el0.c, mp.M)
         rho0 = state.rho
         drho0 = float(state.xi2 @ state.dxi2) / rho0
@@ -235,7 +179,7 @@ class TestSandwichAgainstSolveIvp:
     @pytest.mark.parametrize("forcing", [None, 0.0])
     def test_pair_and_floor_event_match(self, sample_trajectories, direction, forcing):
         mp, bs, I_bar, state, fwd, _ = sample_trajectories
-        el0, _ = osculating_orbit(fwd, 0.0, "outer")
+        el0, _ = osculating_orbit(fwd, 0.0)
         sp = sandwich_params(bs, I_bar, el0.c, mp.M)
         rho0 = state.rho
         drho0 = float(state.xi2 @ state.dxi2) / rho0
@@ -256,7 +200,7 @@ class TestSandwichAgainstSolveIvp:
         # c0 = 0 makes the pair a radial fall into rho = 0, where the step
         # size underflows before the floor (now 0) is crossed
         mp, bs, I_bar, _, fwd, _ = sample_trajectories
-        el0, _ = osculating_orbit(fwd, 0.0, "outer")
+        el0, _ = osculating_orbit(fwd, 0.0)
         sp = dataclasses.replace(sandwich_params(bs, I_bar, el0.c, mp.M), c0=0.0)
         sw = sandwich_ode(1.0, 0.0, sp, mp.M, direction=direction, forcing=0.0)
         ref = solve_ivp_sandwich(1.0, 0.0, sp, mp.M, direction, forcing=0.0)
@@ -268,19 +212,63 @@ class TestSandwichAgainstSolveIvp:
         assert sw.rho_minus(direction * sw.t_valid) < 1e-6
 
 
+def kepler_pair(mp, xi2, dxi2, t1, kepler_only=True):
+    """A state with a circular inner binary, integrated to +t1 and -t1."""
+    st = JacobiState(xi1=[0.3, 0, 0], dxi1=[0, math.sqrt(mp.mu / 0.3), 0], xi2=xi2, dxi2=dxi2)
+    return (integrate(st, mp, (0.0, t1), kepler_only=kepler_only),
+            integrate(st, mp, (0.0, -t1), kepler_only=kepler_only))
+
+
+REPORT_KEYS = {
+    "I_bar", "epsilon", "bound", "max_deviation", "violations", "first_violation_t",
+    "true_exit_t", "osc_exit_t", "I_at_osc_exit", "strip_bound", "strip_ceiling",
+    "sandwich_t_valid", "sandwich_ordering_ok", "eta_bound_ok", "ct_ok", "ok",
+}
+
+
 class TestVerifyDeviation:
     def test_zero_deviation_without_coupling(self, appendix_chain):
         bs = appendix_chain
-        mp = bs.mp
-        st = JacobiState(
-            xi1=[0.3, 0, 0], dxi1=[0, math.sqrt(mp.mu / 0.3), 0],
-            xi2=[10.0, 0, 0], dxi2=[-0.08, 0.22, 0.0],
-        )
-        traj_f = integrate(st, mp, (0.0, 30.0), kepler_only=True)
-        traj_b = integrate(st, mp, (0.0, -30.0), kepler_only=True)
-        rep = verify_deviation(traj_f, traj_b, bs, bs.R_bar, n_samples=100)
+        fwd, bwd = kepler_pair(bs.mp, [10.0, 0, 0], [-0.08, 0.22, 0.0], 30.0)
+        rep = verify_deviation(fwd, bwd, bs, bs.R_bar, n_samples=100)
         assert rep["violations"] == 0
         assert rep["max_deviation"] < 1e-8
+        # without coupling the outer angular momentum is conserved
+        assert rep["ct_drift"] < 1e-12
+
+    def test_empty_window_outside_region(self, appendix_chain):
+        # I(0) far below R_bar: both windows are empty, so nothing is
+        # sampled and the drift check does not apply
+        bs = appendix_chain
+        fwd, bwd = kepler_pair(bs.mp, [3.0, 0, 0], [0.0, 0.4, 0.0], 5.0, kepler_only=False)
+        rep = verify_deviation(fwd, bwd, bs, bs.R_bar)
+        assert "ct_drift" not in rep
+        assert rep["violations"] == 0 and rep["max_deviation"] == 0.0
+        assert rep["true_exit_t"] == 0.0
+
+    def test_report_keys(self, appendix_chain):
+        bs = appendix_chain
+        pair = kepler_pair(bs.mp, [10.0, 0, 0], [-0.08, 0.22, 0.0], 30.0)
+        assert set(verify_deviation(*pair, bs, bs.R_bar, n_samples=16)) \
+            == REPORT_KEYS | {"ct_drift", "ct_bound"}
+        below = kepler_pair(bs.mp, [3.0, 0, 0], [0.0, 0.4, 0.0], 5.0)
+        assert set(verify_deviation(*below, bs, bs.R_bar)) == REPORT_KEYS
+
+    def test_first_violation_tie_takes_negative_t(self, appendix_chain):
+        # a circular outer orbit: both windows end at |t| = 30, so the two
+        # sides sample the same |t|; with a bound of 1e-300 every rounding
+        # deviation violates, and the tie at the least |t| goes to -t
+        bs = appendix_chain
+        mp = bs.mp
+        fwd, bwd = kepler_pair(mp, [10.0, 0, 0], [0.0, math.sqrt(mp.M / 10.0), 0.0], 30.0)
+        t1 = float(np.linspace(0.0, 30.0, 50)[1])
+        _, tb0 = osculating_orbit(fwd, 0.0)
+        for traj, t in ((fwd, t1), (bwd, -t1)):
+            assert traj.state_at(t).rho != kp.propagate(tb0, t).r
+        tiny = dataclasses.replace(bs, A1=1e-300 / bs.epsilon(bs.R_bar))
+        rep = verify_deviation(fwd, bwd, tiny, bs.R_bar, n_samples=100)
+        assert rep["violations"] > 0
+        assert rep["first_violation_t"] == -t1
 
     def test_sampled_orbit_report(self, sample_trajectories):
         mp, bs, I_bar, state, fwd, bwd = sample_trajectories
@@ -288,12 +276,29 @@ class TestVerifyDeviation:
         assert rep["ok"]
         assert rep["violations"] == 0
         assert rep["max_deviation"] < rep["bound"]
+        assert rep["ct_drift"] < rep["ct_bound"]
         assert rep["osc_exit_t"] is not None
         # strip-exit measurement: true inertia at the osculating exit stays
         # within I_bar + 2 alpha2 A1 + lambda
         if rep["I_at_osc_exit"] is not None:
             assert rep["I_at_osc_exit"] <= rep["strip_bound"]
             assert rep["I_at_osc_exit"] == pytest.approx(I_bar, rel=0.05)
+
+    def test_drift_slope_in_time(self, sample_trajectories):
+        # |c_t - c_0| grows about linearly at small |t| (log-log slope ~ 1)
+        mp, bs, I_bar, state, fwd, _ = sample_trajectories
+        el0, tb0 = osculating_orbit(fwd, 0.0)
+        c0 = el0.c
+        ts = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        ts = ts[ts < abs(fwd.t_end)]
+        drifts = []
+        for t in ts:
+            s = fwd.state_at(t)
+            drifts.append(abs(float(np.linalg.norm(np.cross(s.xi2, s.dxi2))) - c0))
+        drifts = np.array(drifts)
+        if np.all(drifts > 0):
+            slope = np.polyfit(np.log(ts), np.log(drifts), 1)[0]
+            assert 0.5 < slope < 2.5
 
 
 class TestCertifyEntry:

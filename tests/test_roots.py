@@ -16,7 +16,7 @@ from lunarbound.harness import (
     APPENDIX_H, APPENDIX_J, APPENDIX_MASSES, SamplerRanges, ScenarioConfig,
     sample_initial_conditions,
 )
-from lunarbound.integrate import EventSpec, _KSSegment, integrate, integrate_regularized
+from lunarbound.integrate import EventSpec, _KSSegment, integrate
 from lunarbound.osculate import certify_entry, verify_deviation
 from lunarbound.roots import brentq
 
@@ -87,7 +87,7 @@ class TestAgainstScipy:
 SITES = {
     "lunarbound.bounds": {"_euler_quintic_root", "region_constants"},
     "lunarbound.integrate": {"_locate_events", "_s_of_t"},
-    "lunarbound.osculate": {"_osc_exit_time", "qualified_window"},
+    "lunarbound.osculate": {"_osc_exit_time", "verify_deviation"},
 }
 
 
@@ -124,7 +124,7 @@ def test_recorded_calls_at_every_site_bitwise(recorded, appendix_chain):
 
     # integrate: the KS radial minimum and the time inversion of a KS segment
     col = JacobiState(xi1=[1.0, 0, 0], dxi1=[0, 0, 0], xi2=[50.0, 0, 0], dxi2=[0, 0.05, 0])
-    traj = integrate_regularized(col, mp, (0.0, 3.0))
+    traj = integrate(col, mp, (0.0, 3.0), regularize=True)
     assert any(e.kind == "collision_regularized" for e in traj.events)
     ks = [seg for seg in traj.dense._ordered if isinstance(seg, _KSSegment)]
     assert ks
