@@ -301,6 +301,25 @@ class TestVerifyDeviation:
             assert 0.5 < slope < 2.5
 
 
+class TestCtDrift:
+    """The report's c^2 drift over the window against b eps^(3/2)."""
+
+    def test_zero_without_coupling(self, appendix_chain):
+        # outbound: stays above the reference level over the forward span
+        bs = appendix_chain
+        fwd, bwd = kepler_pair(bs.mp, [10.0, 0, 0], [0.05, 0.25, 0.0], 20.0)
+        rep = verify_deviation(fwd, bwd, bs, bs.R_bar)
+        assert "ct_drift" in rep and rep["ct_ok"]
+        assert rep["ct_drift"] < 1e-12
+
+    def test_measured_below_bound(self, sample_trajectories):
+        mp, bs, I_bar, state, fwd, bwd = sample_trajectories
+        rep = verify_deviation(fwd, bwd, bs, I_bar)
+        assert rep["ct_ok"]
+        assert 0.0 < rep["ct_drift"] < rep["ct_bound"]
+        assert rep["ct_bound"] == pytest.approx(bs.b * bs.epsilon(I_bar) ** 1.5)
+
+
 class TestCertifyEntry:
     def test_declines_without_finite_constants(self, appendix_i0):
         I0_val, bs = appendix_i0
