@@ -399,9 +399,10 @@ def strip_and_main(
     dc: DeviationConstants,
     mp: MassParams,
     lam: Optional[float],
-    i_star2: Optional[float] = None,
+    i_star2: float,
 ) -> StripConstants:
-    """R = max{R_bar, I**, 4 alpha1 c_r^2}; then for the strip parameter
+    """R = max{R_bar, I**, 4 alpha1 c_r^2}, with I** = i_star2 as
+    i_star_star gives it; then for the strip parameter
     lam > 0: R_bar_lambda = max{R, alpha1 c_r^2 + alpha2 (alpha2 A1^2/lam),
     2 alpha2 A1 + 4 alpha1 c_r^2 + lam} and R_lambda = R_bar_lambda +
     2 alpha2 A1 + lam.
@@ -413,8 +414,6 @@ def strip_and_main(
     come out inf; compute_chain reports that as ChainOverflowError.
     lam = None takes the minimizer lam* of R_lambda (see _lambda_star).
     """
-    if i_star2 is None:
-        i_star2 = i_star_star(rc, mp)
     a1, a2 = mp.alpha1, mp.alpha2
     R = max(dc.R_bar, i_star2, 4.0 * a1 * rc.c_r**2)
     if lam is None:
@@ -682,10 +681,10 @@ _JSON_KEYS = {"c_j2": "c_J2", "i_star": "I_star", "i_star_eff": "I_star_eff",
 
 
 @dataclass(frozen=True)
-class BoundSet:
+class BoundSet(StripConstants, DeviationConstants, RegionConstants):
     """Every constant of the chain for one far-body choice.
 
-    The stage constants keep their field names from RegionConstants,
+    The stage constants are the fields it inherits from RegionConstants,
     DeviationConstants and StripConstants, whose records compute_chain
     passes on whole; to_dict writes every field, renamed by _JSON_KEYS where
     the report key differs.  Also carries the level-dependent helpers:
@@ -698,26 +697,7 @@ class BoundSet:
     masses: tuple
     H: float
     J: float
-    sigma: float
-    c_r: float
-    c_j2: float
-    c_g: float
-    c_g2: float
-    rho_min: float
-    i_star: float
-    i_star_eff: float
     i_star2: float
-    A: float
-    a: float
-    b: float
-    A1: float
-    B1: float
-    R_bar: float
-    R: float
-    lam: float
-    lambda_prime: float
-    R_bar_lambda: float
-    R_lambda: float
     i0: float
     marchal: MarchalComparison
 

@@ -63,18 +63,16 @@ def _load_config(args) -> ScenarioConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _write(text: str, args, name: str) -> None:
-    """text into the file name under --out, or to stdout without --out."""
+def _emit(obj, args, name: str) -> None:
+    """obj as canonical JSON into the file name under --out, or to stdout
+    without --out."""
+    text = canonical_json(obj) + "\n"
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / name).write_text(text)
     else:
         print(text, end="")
-
-
-def _emit(obj, args, name: str) -> None:
-    _write(canonical_json(obj) + "\n", args, name)
 
 
 def _cmd_bounds(args) -> int:
@@ -91,17 +89,6 @@ def _cmd_sample(args) -> int:
     cfg = _load_config(args)
     states = sample_initial_conditions(cfg)
     mp = cfg.far_mp
-    if args.format == "csv":
-        lines = ["# lunar-bound/1 samples",
-                 "index,xi1x,xi1y,xi1z,dxi1x,dxi1y,dxi1z,"
-                 "xi2x,xi2y,xi2z,dxi2x,dxi2y,dxi2z,I,H"]
-        for i, st in enumerate(states):
-            H, _, _, _ = energy_split(st, mp)
-            vals = list(st.xi1) + list(st.dxi1) + list(st.xi2) + list(st.dxi2)
-            vals += [moment_of_inertia(st, mp), H]
-            lines.append(str(i) + "," + ",".join(format(v, ".17g") for v in vals))
-        _write("\n".join(lines) + "\n", args, "samples.csv")
-        return 0
     rows = []
     for i, st in enumerate(states):
         H, _, _, _ = energy_split(st, mp)
@@ -207,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scenario config JSON")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="output directory")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--regularize", choices=["on", "off"], default=None)
     p.add_argument("--jobs", type=int, default=None)

@@ -273,10 +273,9 @@ def energy_split(state: JacobiState, mp: MassParams):
     r = state.r
     if r == 0.0:
         raise SingularConfigurationError("binary collision: r = 0")
-    u, w, nu, nw, rho = _interaction_terms(state, mp)
+    g = perturbation(state, mp)
     H1 = 0.5 * mp.alpha1 * float(state.dxi1 @ state.dxi1) - mp.beta1 / r
-    H2 = 0.5 * mp.alpha2 * float(state.dxi2 @ state.dxi2) - mp.beta2 / rho
-    g = mp.beta2 / rho - mp.m1 * mp.m3 / nu - mp.m2 * mp.m3 / nw
+    H2 = 0.5 * mp.alpha2 * float(state.dxi2 @ state.dxi2) - mp.beta2 / state.rho
     return H1 + H2 + g, H1, H2, g
 
 

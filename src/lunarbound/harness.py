@@ -21,9 +21,8 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,14 +30,13 @@ import numpy as np
 from . import bounds as bounds_mod
 from .bounds import BoundSet, compute_chain, i0
 from .core import (
-    JacobiState, MassParams, angular_momentum, energy_split, flat_inertia, moment_of_inertia, perturbation,
+    JacobiState, MassParams, angular_momentum, energy_split, flat_inertia, moment_of_inertia,
 )
-from .integrate import EventSpec, integrate
+from .integrate import EventSpec, IntegrationSingularityError, integrate
 from .osculate import certify_entry, verify_deviation
 
 __all__ = [
     "SCHEMA",
-    "SamplerRanges",
     "ScenarioConfig",
     "SampleError",
     "sample_initial_conditions",
@@ -108,22 +106,7 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class SamplerRanges:
-    """Element ranges for the hierarchical draw.
-
-    Inner semi-major axis is specified as a fraction of c_r so the binary
-    stays comfortably inside its bound; the outer draw targets an initial
-    inertia uniformly in [level*lo_factor, level*hi_factor].
-    """
-
-    a1_frac: Tuple[float, float] = (0.20, 0.35)
-    e1: Tuple[float, float] = (0.0, 0.4)
-    i_lo_factor: float = 1.0
-    i_hi_factor: float = 10.0
-
-
-# JSON path -> attribute path of every config field.  to_dict and from_dict
+# JSON path -> attribute of every config field.  to_dict and from_dict
 # both read this table; the defaults live on the dataclass fields only.
 _LAYOUT = {
     "masses": "masses",
@@ -132,10 +115,10 @@ _LAYOUT = {
     "far_body": "far_body",
     "sampler.count": "count",
     "sampler.seed": "seed",
-    "sampler.inner.a1_frac": "ranges.a1_frac",
-    "sampler.inner.e1": "ranges.e1",
-    "sampler.outer.i_lo_factor": "ranges.i_lo_factor",
-    "sampler.outer.i_hi_factor": "ranges.i_hi_factor",
+    "sampler.inner.a1_frac": "a1_frac",
+    "sampler.inner.e1": "e1",
+    "sampler.outer.i_lo_factor": "i_lo_factor",
+    "sampler.outer.i_hi_factor": "i_hi_factor",
     "sampler.planar": "planar",
     "level": "level",
     "lambda": "lam",
@@ -175,7 +158,13 @@ def _is_finite(v) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One experiment: masses, levels, sampler spec, budgets, overrides."""
+    """One experiment: masses, levels, sampler spec, budgets, overrides.
+
+    The sampler draws the inner semi-major axis as a fraction a1_frac of c_r,
+    so the binary stays comfortably inside its bound, and the eccentricity
+    from e1; the outer draw targets an initial inertia uniformly in
+    [level*i_lo_factor, level*i_hi_factor].
+    """
 
     masses: Tuple[float, float, float]
     H: float
@@ -183,7 +172,10 @@ class ScenarioConfig:
     far_body: int = 3
     count: int = 20
     seed: int = 0
-    ranges: SamplerRanges = field(default_factory=SamplerRanges)
+    a1_frac: Tuple[float, float] = (0.20, 0.35)
+    e1: Tuple[float, float] = (0.0, 0.4)
+    i_lo_factor: float = 1.0
+    i_hi_factor: float = 10.0
     planar: bool = False
     level: Optional[float] = None
     lam: Optional[float] = None
@@ -204,12 +196,11 @@ class ScenarioConfig:
         J = self.J
         if isinstance(J, (int, float)):
             J = (0.0, 0.0, J)
-        r = self.ranges
         # level, lambda, B1 and i_range may be null (unset); no other number may
         nullable = {"level": self.level, "lambda": self.lam, "B1": self.B1}
         # the (low, high) ranges
-        pairs = {"sampler.inner.a1_frac": r.a1_frac, "sampler.inner.e1": r.e1,
-                 "sampler.outer.i_lo_factor, i_hi_factor": [r.i_lo_factor, r.i_hi_factor]}
+        pairs = {"sampler.inner.a1_frac": self.a1_frac, "sampler.inner.e1": self.e1,
+                 "sampler.outer.i_lo_factor, i_hi_factor": [self.i_lo_factor, self.i_hi_factor]}
         if self.i_range is not None:
             pairs["i_range"] = self.i_range
         for name, vals in (
@@ -222,10 +213,10 @@ class ScenarioConfig:
         for name, vals in pairs.items():
             if len(vals) != 2 or not vals[0] <= vals[1]:
                 raise ValueError(f"{name} must be two numbers, low <= high, got {list(vals)!r}")
-        if not r.a1_frac[0] > 0.0:
-            raise ValueError(f"sampler.inner.a1_frac must be positive, got {list(r.a1_frac)!r}")
-        if not (r.e1[0] >= 0.0 and r.e1[1] < 1.0):
-            raise ValueError(f"sampler.inner.e1 must lie in [0, 1), got {list(r.e1)!r}")
+        if not self.a1_frac[0] > 0.0:
+            raise ValueError(f"sampler.inner.a1_frac must be positive, got {list(self.a1_frac)!r}")
+        if not (self.e1[0] >= 0.0 and self.e1[1] < 1.0):
+            raise ValueError(f"sampler.inner.e1 must lie in [0, 1), got {list(self.e1)!r}")
         if len(self.masses) != 3 or len(J) != 3:
             raise ValueError("masses and J must have three components")
         if not self.H < 0.0:
@@ -272,7 +263,7 @@ class ScenarioConfig:
             node = out
             for key in parents:
                 node = node.setdefault(key, {})
-            value = attrgetter(attr)(self)
+            value = getattr(self, attr)
             node[leaf] = list(value) if isinstance(value, tuple) else value
         return out
 
@@ -280,19 +271,12 @@ class ScenarioConfig:
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         """Inverse of to_dict.  Unknown or missing keys, non-finite numbers
         and out-of-range values raise ValueError."""
-        kwargs, ranges = {}, {}
-        for path, value in _flatten(d).items():
-            attr = _LAYOUT[path]
-            value = tuple(value) if isinstance(value, list) else value
-            if attr.startswith("ranges."):
-                ranges[attr[len("ranges."):]] = value
-            else:
-                kwargs[attr] = value
-        missing = [f.name for f in fields(cls) if f.default is MISSING
-                   and f.default_factory is MISSING and f.name not in kwargs]
+        kwargs = {_LAYOUT[path]: tuple(value) if isinstance(value, list) else value
+                  for path, value in _flatten(d).items()}
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
         if missing:
             raise ValueError(f"config lacks {', '.join(missing)}")
-        return cls(ranges=SamplerRanges(**ranges), **kwargs)
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -325,8 +309,8 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def _inner_state(rng, mp: MassParams, cfg: ScenarioConfig, c_r: float):
     """Binary position/velocity from drawn elements, kappa = mu."""
-    a_lo, a_hi = cfg.ranges.a1_frac
-    e_lo, e_hi = cfg.ranges.e1
+    a_lo, a_hi = cfg.a1_frac
+    e_lo, e_hi = cfg.e1
     a1 = c_r * rng.uniform(a_lo, a_hi)
     e1 = rng.uniform(e_lo, e_hi)
     Mmean = rng.uniform(0.0, 2.0 * math.pi)
@@ -394,8 +378,7 @@ def _sample_one(cfg: ScenarioConfig, bs: BoundSet, I_lo: float, I_hi: float, ind
         xi2 = rho0 * rho_hat
 
         probe = JacobiState(xi1=xi1, dxi1=dxi1, xi2=xi2, dxi2=np.zeros(3))
-        g = perturbation(probe, mp)
-        H1 = 0.5 * mp.alpha1 * float(dxi1 @ dxi1) - mp.beta1 / r
+        _, H1, _, g = energy_split(probe, mp)
         H2_req = cfg.H - H1 - g
         v2_sq = 2.0 * (H2_req + mp.beta2 / rho0) / mp.alpha2
         v_t = v_t_signed
@@ -424,7 +407,7 @@ def _chain(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -> Tuple[BoundSet
 def _sampling_window(cfg: ScenarioConfig, level: float):
     if cfg.i_range is not None:
         return cfg.i_range
-    return level * cfg.ranges.i_lo_factor, level * cfg.ranges.i_hi_factor
+    return level * cfg.i_lo_factor, level * cfg.i_hi_factor
 
 
 def sample_initial_conditions(cfg: ScenarioConfig, bs: Optional[BoundSet] = None,
@@ -507,11 +490,14 @@ def _first_entry(state: JacobiState, mp: MassParams, bs: BoundSet, level: float,
         terminal=True,
         payload={"level": level},
     )
-    traj = integrate(
-        state, mp, (0.0, sign * t_budget),
-        rtol=cfg.tol, atol=cfg.tol,
-        events=[ev], max_steps=cfg.max_steps, dense=False, regularize=cfg.regularize,
-    )
+    try:
+        traj = integrate(
+            state, mp, (0.0, sign * t_budget),
+            rtol=cfg.tol, atol=cfg.tol,
+            events=[ev], max_steps=cfg.max_steps, dense=False, regularize=cfg.regularize,
+        )
+    except IntegrationSingularityError as exc:
+        return _direction(False, None, moment_of_inertia(exc.state, mp), "failed", exc.n_steps)
     entries = [e for e in traj.events if e.kind == "entry"]
     if entries:
         return _direction(True, entries[0].t, level, "entered", traj.n_steps)
@@ -566,10 +552,13 @@ def run_theorem_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -
       completed              integrated through the whole time budget
                              without entry
       step_budget_exhausted  integration stopped at max_steps
+      failed                 the step size underflowed at a singularity;
+                             min_I is the inertia at the last accepted step
       not_run                skipped (lazy_directions) after the other
                              direction entered
 
-    Exhausting a budget is reported per sample, never as an abort.
+    Exhausting a budget or failing at a singularity is reported per sample,
+    never as an abort.
     """
     bs, level = _chain(cfg, bs)
     t_budget = cfg.budget_factor * bs.B1 * _budget_rho(bs, level) ** 1.5
@@ -687,7 +676,8 @@ def run_appendix_scenario(count: int = 20, seed: int = 7) -> dict:
         count=count,
         seed=seed,
         level=bs.R,
-        ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=4.0),
+        i_lo_factor=1.0,
+        i_hi_factor=4.0,
     )
     return {
         "schema": SCHEMA,

@@ -79,13 +79,14 @@ KS_COLLISION_FRACTION = 1e-9
 class IntegrationSingularityError(RuntimeError):
     """Step size underflow near an uncontrolled singularity.
 
-    Carries the last valid time and state.
+    Carries the last valid time and state, and the steps accepted before it.
     """
 
-    def __init__(self, message: str, t: float, state: JacobiState):
+    def __init__(self, message: str, t: float, state: JacobiState, n_steps: int):
         super().__init__(message)
         self.t = t
         self.state = state
+        self.n_steps = n_steps
 
 
 @dataclass(frozen=True)
@@ -821,7 +822,8 @@ def integrate(
                             ks_specs, max_steps - n_steps, dense, clock)
         if res.status == "failed":
             raise IntegrationSingularityError(res.message, t=res.exit_t,
-                                              state=JacobiState.from_vector(res.exit_y))
+                                              state=JacobiState.from_vector(res.exit_y),
+                                              n_steps=n_steps + res.n_steps)
         if mode == "ks":
             if res.status == "completed":
                 res.ts[-1] = t1  # the stint stopped at its root of t = t1, good to rounding

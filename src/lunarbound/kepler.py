@@ -210,6 +210,33 @@ def _is_radial(s: TwoBodyState) -> bool:
     return c <= _RADIAL_TOL * math.sqrt(s.kappa * r) + _RADIAL_TOL * r * s.speed
 
 
+def _time_since_pericenter(conic: str, r: float, rv: float, h: float, kappa: float,
+                           e: float = 1.0, q: float = 0.0) -> float:
+    """Signed time since the nearest pericenter passage at radius r, with
+    rv = xi . dxi and energy h: positive outbound, negative inbound.
+
+    The elliptic anomaly comes from atan2 (the result lies in (-T/2, T/2]),
+    the hyperbolic one from asinh, and the parabolic time from Barker's
+    equation with pericenter distance q, which at q = 0 is the radial fall.
+    Radial orbits are the case e = 1, q = 0, their pericenter the collision.
+    """
+    if conic == "elliptic":
+        a = -kappa / (2.0 * h)
+        n = math.sqrt(kappa / a**3)
+        esinE = rv / math.sqrt(kappa * a)
+        E = math.atan2(esinE, 1.0 - r / a)
+        return (E - esinE) / n
+    if conic == "hyperbolic":
+        aa = kappa / (2.0 * h)
+        nh = math.sqrt(kappa / aa**3)
+        esinhF = rv / math.sqrt(kappa * aa)
+        return (esinhF - math.asinh(esinhF / e)) / nh
+    if q <= 0.0:
+        return math.copysign(math.sqrt(2.0 / (9.0 * kappa)) * r**1.5, rv)
+    D = math.copysign(math.sqrt(max(r / q - 1.0, 0.0)), rv)
+    return math.sqrt(2.0 * q**3 / kappa) * (D + D**3 / 3.0)
+
+
 def _radial_collision_window(s: TwoBodyState):
     """Open interval (t_prev, t_next) of propagation times free of collision.
 
@@ -218,29 +245,18 @@ def _radial_collision_window(s: TwoBodyState):
     """
     r = s.r
     kappa = s.kappa
-    vr = float(s.xi @ s.dxi) / r
     h = 0.5 * s.speed**2 - kappa / r
+    conic = "elliptic" if h < 0.0 else "parabolic" if h == 0.0 else "hyperbolic"
+    vr = float(s.xi @ s.dxi) / r
+    t_since = _time_since_pericenter(conic, r, vr * r, h, kappa)
     if h < 0.0:
         a = -kappa / (2.0 * h)
-        n = math.sqrt(kappa / a**3)
-        T = 2.0 * math.pi / n
-        esinE = vr * r / math.sqrt(kappa * a)
-        ecosE = 1.0 - r / a
-        E = math.atan2(esinE, ecosE)
-        m = (E - esinE) / n  # time since last collision, in (-T/2, T/2]
-        if m < 0.0:
-            m += T
-        return -m, T - m
-    # unbound radial: a single collision event on the inbound side
-    if h == 0.0:
-        t_since = math.copysign(math.sqrt(2.0 / (9.0 * kappa)) * r**1.5, vr)
-    else:
-        aa = kappa / (2.0 * h)
-        nh = math.sqrt(kappa / aa**3)
-        esinhF = vr * r / math.sqrt(kappa * aa)
-        F = math.asinh(esinhF)  # e = 1 for radial orbits
-        t_since = (esinhF - F) / nh
-    if t_since >= 0.0:  # outbound: expelled at -t_since, never returns
+        T = 2.0 * math.pi / math.sqrt(kappa / a**3)
+        if t_since < 0.0:  # time since the last collision, in [0, T)
+            t_since += T
+        return -t_since, T - t_since
+    # unbound: one collision; outbound, it was expelled at -t_since and never returns
+    if t_since >= 0.0:
         return -t_since, math.inf
     return -math.inf, -t_since
 
@@ -406,7 +422,6 @@ def time_to_pericenter(s: TwoBodyState) -> PericenterTime:
     r = s.r
     if r == 0.0:
         raise ValueError("zero radius state")
-    kappa = s.kappa
     rv = float(s.xi @ s.dxi)
     el = elements_from_state(s)
     if el.e < 1e-13:
@@ -418,39 +433,10 @@ def time_to_pericenter(s: TwoBodyState) -> PericenterTime:
             return PericenterTime(t_next, +1)
         return PericenterTime(-t_prev, -1)
 
-    h = el.h
-    if el.conic == "elliptic":
-        a = el.a
-        n = math.sqrt(kappa / a**3)
-        esinE = rv / math.sqrt(kappa * a)
-        ecosE = 1.0 - r / a
-        E = math.atan2(esinE, ecosE)
-        m = (E - esinE) / n
-        T = 2.0 * math.pi / n
-        if m > 0.0:
-            return PericenterTime(m, -1)
-        if m < 0.0:
-            return PericenterTime(-m, +1)
-        return PericenterTime(0.0, +1)
-    if el.conic == "hyperbolic":
-        aa = -el.a  # positive
-        nh = math.sqrt(kappa / aa**3)
-        esinhF = rv / math.sqrt(kappa * aa)
-        F = math.asinh(esinhF / el.e)
-        m = (esinhF - F) / nh
-        if m > 0.0:
-            return PericenterTime(m, -1)
-        return PericenterTime(-m, +1)
-    # parabolic
-    q = el.q_peri
-    if q <= 0.0:
-        ts = math.copysign(math.sqrt(2.0 / (9.0 * kappa)) * r**1.5, rv)
-    else:
-        D = math.copysign(math.sqrt(max(r / q - 1.0, 0.0)), rv)
-        ts = math.sqrt(2.0 * q**3 / kappa) * (D + D**3 / 3.0)
-    if ts > 0.0:
-        return PericenterTime(ts, -1)
-    return PericenterTime(-ts, +1)
+    m = _time_since_pericenter(el.conic, r, rv, el.h, s.kappa, el.e, el.q_peri)
+    if m > 0.0:
+        return PericenterTime(m, -1)
+    return PericenterTime(abs(m), +1)
 
 
 def collision_time_bound(rho0: float, kappa: float) -> float:

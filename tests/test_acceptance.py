@@ -45,7 +45,6 @@ from lunarbound.harness import (
     APPENDIX_H,
     APPENDIX_J,
     APPENDIX_MASSES,
-    SamplerRanges,
     ScenarioConfig,
     canonical_json,
     run_sandwich_experiment,
@@ -207,7 +206,7 @@ class TestCriterion5:
         cfg = ScenarioConfig(
             masses=APPENDIX_MASSES, H=APPENDIX_H, J=(0, 0, APPENDIX_J),
             count=1, seed=2024, level=bs.R_bar,
-            ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=3.93),
+            i_lo_factor=1.0, i_hi_factor=3.93,
         )
         st = sample_initial_conditions(cfg, bs)[0]
         traj = integrate(st, cfg.mp, (0.0, 1000.0), rtol=1e-12, atol=1e-12, dense=False)
@@ -255,8 +254,7 @@ class TestCriterion6:
         cfg = ScenarioConfig(
             masses=APPENDIX_MASSES, H=APPENDIX_H, J=(0, 0, APPENDIX_J),
             count=2000, seed=616161, level=bs.i_star_eff,
-            ranges=SamplerRanges(a1_frac=(0.05, 0.35), e1=(0.0, 0.7),
-                                 i_lo_factor=1.001, i_hi_factor=50.0),
+            a1_frac=(0.05, 0.35), e1=(0.0, 0.7), i_lo_factor=1.001, i_hi_factor=50.0,
         )
         states = sample_initial_conditions(cfg, bs)
         dyn_viol = 0
@@ -304,7 +302,7 @@ class TestCriterion8:
         cfg = ScenarioConfig(
             masses=APPENDIX_MASSES, H=APPENDIX_H, J=(0, 0, APPENDIX_J),
             count=100, seed=808080, level=I0_val, max_steps=600,
-            ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=10.0),
+            i_lo_factor=1.0, i_hi_factor=10.0,
             lazy_directions=False,
         )
         rep = run_theorem_experiment(cfg, bs=bs)
@@ -336,7 +334,7 @@ class TestCriterion8:
         cfg = ScenarioConfig(
             masses=APPENDIX_MASSES, H=APPENDIX_H, J=(0, 0, APPENDIX_J),
             count=100, seed=818181, level=bs.R,
-            ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=10.0),
+            i_lo_factor=1.0, i_hi_factor=10.0,
         )
         rep = run_theorem_experiment(cfg, bs=bs)
         agg = rep["aggregate"]

@@ -193,7 +193,7 @@ class TestStripsAndMain:
         dc = deviation_constants(rc, mp_equal)
         eps = np.finfo(float).eps
         for lam in (1e-4, 0.1, 0.5, 0.99):
-            sc = strip_and_main(rc, dc, mp_equal, lam)
+            sc = strip_and_main(rc, dc, mp_equal, lam, i_star_star(rc, mp_equal))
             assert sc.R_bar_lambda > sc.R
             # R_lambda exceeds R_bar_lambda by lambda' exactly; at the huge
             # magnitudes the chain produces, the increment can fall below one

@@ -14,7 +14,6 @@ from lunarbound.harness import (
     APPENDIX_J,
     APPENDIX_MASSES,
     SCHEMA,
-    SamplerRanges,
     ScenarioConfig,
     canonical_json,
     run_appendix_scenario,
@@ -42,7 +41,7 @@ def appendix_cfg(**kw):
 class TestSampler:
     def test_levels_exact(self, appendix_chain):
         cfg = appendix_cfg(count=25, level=appendix_chain.R,
-                           ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=4.0))
+                           i_lo_factor=1.0, i_hi_factor=4.0)
         states = sample_initial_conditions(cfg, appendix_chain)
         assert len(states) == 25
         mp = cfg.mp
@@ -52,8 +51,8 @@ class TestSampler:
             assert abs(H - cfg.H) <= 1e-12 * abs(cfg.H)
             assert np.linalg.norm(J - cfg.J_vec) <= 1e-12 * cfg.J_mag
             I = moment_of_inertia(st, mp)
-            assert cfg.ranges.i_lo_factor * appendix_chain.R <= I
-            assert I <= cfg.ranges.i_hi_factor * appendix_chain.R * (1 + 1e-12)
+            assert cfg.i_lo_factor * appendix_chain.R <= I
+            assert I <= cfg.i_hi_factor * appendix_chain.R * (1 + 1e-12)
 
     @pytest.mark.parametrize("level", ["R", "3R_bar"])
     def test_theorem_samples_hit_the_levels(self, appendix_chain, level):
@@ -89,16 +88,16 @@ class TestSampler:
     def test_inner_elements_in_range(self, appendix_chain):
         cfg = appendix_cfg(count=20, level=appendix_chain.R)
         states = sample_initial_conditions(cfg, appendix_chain)
-        lo, hi = cfg.ranges.a1_frac
+        lo, hi = cfg.a1_frac
         for st in states:
             # apocenter of the drawn binary stays under c_r
-            assert st.r <= appendix_chain.c_r * hi * (1 + cfg.ranges.e1[1]) * (1 + 1e-9)
+            assert st.r <= appendix_chain.c_r * hi * (1 + cfg.e1[1]) * (1 + 1e-9)
 
 
 class TestTheoremExperiment:
     def test_all_enter_at_reachable_level(self, appendix_chain):
         cfg = appendix_cfg(count=6, seed=77, level=appendix_chain.R,
-                           ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=4.0))
+                           i_lo_factor=1.0, i_hi_factor=4.0)
         rep = run_theorem_experiment(cfg, bs=appendix_chain)
         assert rep["aggregate"]["passed"] == rep["aggregate"]["count"] == 6
         assert rep["level"] == appendix_chain.R
@@ -467,13 +466,30 @@ class TestCli:
         capsys.readouterr()
         assert code == 1
 
-    def test_sample_csv_format(self, tmp_path):
-        cfg = appendix_cfg(count=2, seed=12, level=18.0)
+    def test_format_flag_is_gone(self, capsys):
+        # sample writes samples.json only; there is no CSV form to choose
+        code = self.run_cli("--masses", "1", "1", "1", "--H", "-0.5", "--J", "0.1",
+                            "--format", "csv", "sample")
+        assert code == 2
+
+    def test_singular_integration_is_reported_per_sample(self, tmp_path, capsys):
+        # inner eccentricities this close to 1 underflow the step size in one
+        # direction of sample 2: that direction fails, the batch still reports
         p = tmp_path / "cfg.json"
-        p.write_text(canonical_json(cfg.to_dict()))
-        out_dir = tmp_path / "s"
-        code = self.run_cli("--config", str(p), "--out", str(out_dir), "--format", "csv", "sample")
-        assert code == 0
-        lines = (out_dir / "samples.csv").read_text().splitlines()
-        assert lines[0].startswith("# lunar-bound/1")
-        assert len(lines) == 4
+        p.write_text(json.dumps({
+            "masses": [1, 1, 1], "H": -0.5, "J": [0, 0, 0.1], "level": 60.0,
+            "max_steps": 20000,
+            "sampler": {"count": 4, "seed": 3, "inner": {"e1": [0.99999999, 0.999999999]}},
+        }))
+        out_dir = tmp_path / "out"
+        code = self.run_cli("--config", str(p), "--out", str(out_dir), "verify-theorem")
+        capsys.readouterr()
+        assert code == 1
+        report = json.loads((out_dir / "theorem_report.json").read_text())
+        assert report["aggregate"]["passed"] == 3
+        failed = [(s["index"], key) for s in report["samples"] for key in ("forward", "backward")
+                  if s[key]["status"] == "failed"]
+        assert failed == [(2, "backward")]
+        d = report["samples"][2]["backward"]
+        assert d["entered"] is False and d["t_entry"] is None
+        assert d["n_steps"] > 0 and d["min_I"] > report["level"]

@@ -82,6 +82,7 @@ class TestIntegrate:
             integrate(st, mp, (0.0, 2.5))
         assert exc.value.t == pytest.approx(math.pi / math.sqrt(8.0), abs=1e-6)
         assert exc.value.state.r < 1e-6
+        assert exc.value.n_steps > 0
 
     def test_dense_output_continuity(self):
         mp, st = hierarchical_state()

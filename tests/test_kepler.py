@@ -230,6 +230,26 @@ class TestTimeToPericenter:
             t, _ = kp.time_to_pericenter(s)
             assert t <= 0.5 * kp.period(el) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("vx, direction", [(-1.0, +1), (1.0, -1)])
+    def test_parabolic_barker(self, vx, direction):
+        # h = 1/2 * 2 - 1/1 = 0 exactly, c = 1, q = 1/2: Barker's equation
+        # with tan(nu/2) = +-1 gives sqrt(2 q^3/kappa) (1 + 1/3) = 2/3
+        s = kp.TwoBodyState(xi=[1.0, 0, 0], dxi=[vx, 1.0, 0], kappa=1.0)
+        el = kp.elements_from_state(s)
+        assert el.conic == "parabolic" and el.q_peri == pytest.approx(0.5, rel=1e-15)
+        t, sig = kp.time_to_pericenter(s)
+        assert sig == direction
+        assert t == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert kp.propagate(s, sig * t).r == pytest.approx(el.q_peri, rel=1e-9)
+
+    def test_radial_parabolic_fall(self):
+        # h = 1/2 - 2/4 = 0 exactly on a radial infall: the fall from r = 4
+        r, kappa = 4.0, 2.0
+        s = kp.TwoBodyState(xi=[0, 0, r], dxi=[0, 0, -1.0], kappa=kappa)
+        t, sig = kp.time_to_pericenter(s)
+        assert sig == +1
+        assert t == kp.radial_fall_time(r, 0.0, kappa)
+
 
 class TestCollisionTimeBound:
     def test_formula(self):

@@ -13,7 +13,6 @@ from lunarbound.harness import (
     APPENDIX_H,
     APPENDIX_J,
     APPENDIX_MASSES,
-    SamplerRanges,
     ScenarioConfig,
     sample_initial_conditions,
 )
@@ -36,7 +35,7 @@ def sample_trajectories(appendix_chain):
     cfg = ScenarioConfig(
         masses=APPENDIX_MASSES, H=APPENDIX_H, J=(0, 0, APPENDIX_J),
         count=1, seed=404, level=bs.R_bar,
-        ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=3.0),
+        i_lo_factor=1.0, i_hi_factor=3.0,
     )
     state = sample_initial_conditions(cfg, bs)[0]
     mp = cfg.mp

@@ -13,7 +13,7 @@ from scipy.optimize import brentq as scipy_brentq
 from lunarbound.bounds import compute_chain
 from lunarbound.core import JacobiState, MassParams, moment_of_inertia
 from lunarbound.harness import (
-    APPENDIX_H, APPENDIX_J, APPENDIX_MASSES, SamplerRanges, ScenarioConfig,
+    APPENDIX_H, APPENDIX_J, APPENDIX_MASSES, ScenarioConfig,
     sample_initial_conditions,
 )
 from lunarbound.integrate import EventSpec, _KSSegment, integrate
@@ -136,7 +136,7 @@ def test_recorded_calls_at_every_site_bitwise(recorded, appendix_chain):
     bs = appendix_chain
     cfg = ScenarioConfig(masses=APPENDIX_MASSES, H=APPENDIX_H, J=(0, 0, APPENDIX_J),
                          count=1, seed=404, level=bs.R_bar,
-                         ranges=SamplerRanges(i_lo_factor=1.0, i_hi_factor=3.0))
+                         i_lo_factor=1.0, i_hi_factor=3.0)
     state = sample_initial_conditions(cfg, bs)[0]
     mp = cfg.mp
     horizon = bs.B1 * bs.epsilon(bs.R_bar) ** (-1.5)
