@@ -81,14 +81,13 @@ class EulerConfig:
 
     positions are the signed coordinates of the three bodies along the line
     (center of mass at the origin), middle is the index (1-based) of the mass
-    between the other two, u_hat the potential value at the configuration,
-    and residual the normalized defect of the central-configuration equation.
+    between the other two, and u_hat the potential value at the
+    configuration.
     """
 
     middle: int
-    positions: np.ndarray
+    positions: tuple
     u_hat: float
-    residual: float
 
 
 def _euler_quintic_root(mA: float, mB: float, mC: float) -> float:
@@ -117,7 +116,9 @@ def euler_configuration(mp: MassParams, middle: int) -> EulerConfig:
     """Collinear central configuration with the given mass in the middle.
 
     The quintic has a unique positive root, so the root-finder cannot
-    honestly fail; the residual field lets the caller confirm that.
+    honestly fail.  Everything but the two 3-term dot products runs on
+    Python floats; the dots stay on numpy, whose evaluation order the
+    reported I* carries to the last bit.
     """
     if middle not in (1, 2, 3):
         raise ValueError("middle must be 1, 2 or 3")
@@ -127,33 +128,21 @@ def euler_configuration(mp: MassParams, middle: int) -> EulerConfig:
     mA, mB, mC = (masses[i] for i in order)
     x = _euler_quintic_root(mA, mB, mC)
 
-    line = np.array([0.0, 1.0, 1.0 + x])
     m_ord = np.array([mA, mB, mC])
-    com = float(m_ord @ line) / m_ord.sum()
-    p_ord = line - com
-    i_raw = float(m_ord @ p_ord**2)
-    scale = 1.0 / math.sqrt(i_raw)
-    p_ord = p_ord * scale
+    com = float(m_ord @ np.array([0.0, 1.0, 1.0 + x])) / (mA + mB + mC)
+    p = np.array([0.0 - com, 1.0 - com, (1.0 + x) - com])
+    scale = 1.0 / math.sqrt(float(m_ord @ p**2))
+    pA, pB, pC = (float(v) * scale for v in p)
 
-    r_ab = abs(p_ord[1] - p_ord[0])
-    r_bc = abs(p_ord[2] - p_ord[1])
-    r_ac = abs(p_ord[2] - p_ord[0])
+    r_ab = abs(pB - pA)
+    r_bc = abs(pC - pB)
+    r_ac = abs(pC - pA)
     u_hat = mA * mB / r_ab + mB * mC / r_bc + mA * mC / r_ac
 
-    # central configuration defect: f_i + (U/I) p_i = 0 with I = 1
-    f = np.zeros(3)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                dij = p_ord[j] - p_ord[i]
-                f[i] += m_ord[j] * dij / abs(dij) ** 3
-    defect = f + u_hat * p_ord
-    residual = float(np.max(np.abs(defect)) / np.max(np.abs(f)))
-
-    positions = np.empty(3)
-    for slot, body in enumerate(order):
-        positions[body] = p_ord[slot]
-    return EulerConfig(middle=middle, positions=positions, u_hat=u_hat, residual=residual)
+    positions = [0.0, 0.0, 0.0]
+    for body, pos in zip(order, (pA, pB, pC)):
+        positions[body] = pos
+    return EulerConfig(middle=middle, positions=tuple(positions), u_hat=u_hat)
 
 
 def euler_potential_saddle(mp: MassParams) -> float:
@@ -743,6 +732,25 @@ class BoundSet(StripConstants, DeviationConstants, RegionConstants):
         return {_JSON_KEYS.get(k, k): v for k, v in asdict(self).items()}
 
 
+def _stages(mp: MassParams, H: float, J: float, far_body: int, lam: Optional[float],
+            B1: Optional[float]):
+    """The chain's stages up to R_lambda for one far-body choice, as
+    (relabeled masses, region record, I**, deviation record, strip record).
+
+    Raises ChainOverflowError when A1 or R_lambda exceeds the double range.
+    """
+    mpk = mp.relabeled(far_body)
+    rc = region_constants(mpk, H, J)
+    i2 = i_star_star(rc, mpk)
+    dc = deviation_constants(rc, mpk, B1=B1)
+    sc = strip_and_main(rc, dc, mpk, lam, i_star2=i2)
+    if not math.isfinite(sc.R_lambda):
+        raise ChainOverflowError(
+            "R_lambda", f"alpha2^2 A1^2/lambda with A1 = {dc.A1:.6g}, lambda = {sc.lam:.6g}"
+        )
+    return mpk, rc, i2, dc, sc
+
+
 def compute_chain(
     mp: MassParams,
     H: float,
@@ -758,15 +766,7 @@ def compute_chain(
     explicit lam pins it.
     Raises ChainOverflowError when A1 or R_lambda exceeds the double range.
     """
-    mpk = mp.relabeled(far_body)
-    rc = region_constants(mpk, H, J)
-    i2 = i_star_star(rc, mpk)
-    dc = deviation_constants(rc, mpk, B1=B1)
-    sc = strip_and_main(rc, dc, mpk, lam, i_star2=i2)
-    if not math.isfinite(sc.R_lambda):
-        raise ChainOverflowError(
-            "R_lambda", f"alpha2^2 A1^2/lambda with A1 = {dc.A1:.6g}, lambda = {sc.lam:.6g}"
-        )
+    mpk, rc, i2, dc, sc = _stages(mp, H, J, far_body, lam, B1)
     mc = marchal_comparison(rc, mpk)
     return BoundSet(far_body=far_body, masses=mp.masses(), H=H, J=J, **vars(rc), i_star2=i2,
                     **vars(dc), **vars(sc), i0=sc.R_lambda, marchal=mc)
@@ -781,13 +781,12 @@ def i0(
 ):
     """Final threshold I0(m, H, J) and the bound set that realizes it.
 
-    The chain is run once per far-body labeling; the threshold must work in
-    all three components, so the reported I0 is the maximum over the three
-    and the returned BoundSet is the binding one.
+    The threshold must work in all three far-body components, so the
+    reported I0 is the largest R_lambda over the three labelings (the first
+    largest on a tie), and the returned BoundSet is that binding one.  Only
+    the binding chain is run whole: Marchal's delta, the one costly stage,
+    is enclosed for it alone.
     """
-    best = None
-    for k in (1, 2, 3):
-        bs = compute_chain(mp, H, J, far_body=k, lam=lam, B1=B1)
-        if best is None or bs.i0 > best.i0:
-            best = bs
-    return best.i0, best
+    far_body = max((1, 2, 3), key=lambda k: _stages(mp, H, J, k, lam, B1)[-1].R_lambda)
+    bs = compute_chain(mp, H, J, far_body=far_body, lam=lam, B1=B1)
+    return bs.i0, bs

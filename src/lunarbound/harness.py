@@ -607,18 +607,26 @@ def _sandwich_sample(cfg: ScenarioConfig, bs: BoundSet, I_bar: float, I_hi: floa
         direction=-1,
         terminal=True,
     )
-    traj_f, traj_b = (integrate(state, mp, (0.0, t1), rtol=cfg.tol, atol=cfg.tol,
-                                events=[stop_ev], max_steps=cfg.max_steps)
-                      for t1 in (horizon, -horizon))
-    return {**verify_deviation(traj_f, traj_b, bs, I_bar), "index": index,
-            "I_initial": moment_of_inertia(state, mp)}
+    I_initial = moment_of_inertia(state, mp)
+    trajs = []
+    for side, t1 in (("forward", horizon), ("backward", -horizon)):
+        try:
+            trajs.append(integrate(state, mp, (0.0, t1), rtol=cfg.tol, atol=cfg.tol,
+                                   events=[stop_ev], max_steps=cfg.max_steps))
+        except IntegrationSingularityError as exc:
+            return {"index": index, "I_initial": I_initial, "ok": False, "violations": 0,
+                    "status": "failed", "side": side, "n_steps": exc.n_steps}
+    return {**verify_deviation(*trajs, bs, I_bar), "index": index, "I_initial": I_initial}
 
 
 def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) -> dict:
     """Deviation suite: sample in the strip [R_bar, R_bar^+], integrate both
     directions to the qualified horizon, and verify every measured bound.
 
-    Returns a canonical-JSON-able dict with one entry per sample.
+    Returns a canonical-JSON-able dict with one entry per sample.  A side
+    whose step size underflows at a singularity ends its sample with
+    status "failed", that side and its n_steps: the sample is not ok and
+    is left out of worst_deviation_fraction, and the batch goes on.
     """
     bs, _ = _chain(cfg, bs)
     I_bar = bs.R_bar
@@ -629,7 +637,8 @@ def run_sandwich_experiment(cfg: ScenarioConfig, bs: Optional[BoundSet] = None) 
         "ok": sum(1 for r in samples if r["ok"]),
         "violations": sum(r["violations"] for r in samples),
         "worst_deviation_fraction": max(
-            (r["max_deviation"] / r["bound"] for r in samples), default=0.0
+            (r["max_deviation"] / r["bound"] for r in samples if r.get("status") != "failed"),
+            default=0.0,
         ),
     }
     return _report(cfg, bs, samples, aggregate, I_bar=I_bar, epsilon=bs.epsilon(I_bar),

@@ -25,7 +25,7 @@ from lunarbound.bounds import (
     region_constants,
     strip_and_main,
 )
-from lunarbound.harness import APPENDIX_H, APPENDIX_J, APPENDIX_MASSES
+from lunarbound.harness import APPENDIX_H, APPENDIX_J, APPENDIX_MASSES, canonical_json
 
 
 class TestEulerConfiguration:
@@ -42,12 +42,20 @@ class TestEulerConfiguration:
         assert max(vals) - min(vals) < 1e-14
 
     def test_residual_random_masses(self, rng):
+        # the central-configuration equation f_i + (U/I) p_i = 0 at I = 1,
+        # with f_i = sum_j m_j (p_j - p_i)/|p_j - p_i|^3, checked here from
+        # the returned positions, u_hat and the masses
         for _ in range(15):
             mp = MassParams(*(rng.uniform(0.2, 3.0, size=3)))
+            masses = mp.masses()
             for k in (1, 2, 3):
                 ec = euler_configuration(mp, k)
-                assert ec.residual <= 1e-12
-                i_val = sum(m * p * p for m, p in zip(mp.masses(), ec.positions))
+                p = ec.positions
+                f = [sum(masses[j] * (p[j] - p[i]) / abs(p[j] - p[i]) ** 3
+                         for j in range(3) if j != i) for i in range(3)]
+                defect = max(abs(f[i] + ec.u_hat * p[i]) for i in range(3))
+                assert defect <= 1e-12 * max(abs(v) for v in f)
+                i_val = sum(m * q * q for m, q in zip(masses, p))
                 assert i_val == pytest.approx(1.0, rel=1e-12)
 
 
@@ -339,6 +347,59 @@ class TestI0:
             compute_chain(MassParams(*masses), H, 0.3)
         assert info.value.name == name
         assert str(info.value).startswith(f"{name} overflows")
+
+    @staticmethod
+    def _outcome(run):
+        """run()'s (I0, bound-set JSON), or the class and message it raises."""
+        try:
+            I0_val, bs = run()
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+        return I0_val, canonical_json(bs.to_dict())
+
+    @staticmethod
+    def _first_largest(mp, H, J):
+        """The chain of the first far body with the largest R_lambda, each
+        labeling run whole, in order."""
+        best = None
+        for k in (1, 2, 3):
+            bs = compute_chain(mp, H, J, far_body=k)
+            if best is None or bs.i0 > best.i0:
+                best = bs
+        return best.i0, best
+
+    def test_binding_chain_is_the_first_largest(self):
+        cases = [((1.0, 1.0, 1.0), -0.5, 0.1), ((1.0, 2.0, 3.0), -0.5, 0.1),
+                 ((0.5, 1.7, 2.0), -0.5, 0.1), (APPENDIX_MASSES, APPENDIX_H, APPENDIX_J)]
+        rng = np.random.default_rng(1717)
+        for _ in range(200):
+            masses = tuple(float(m) for m in rng.uniform(0.2, 3.0, size=3))
+            H = -float(rng.uniform(0.05, 2.0))
+            J_max = euler_potential_saddle(MassParams(*masses)) / math.sqrt(2.0 * abs(H))
+            cases.append((masses, H, float(rng.uniform(0.0, 1.05)) * J_max))
+        raised = set()
+        for masses, H, J in cases:
+            mp = MassParams(*masses)
+            got = self._outcome(lambda: i0(mp, H, J))
+            assert got == self._outcome(lambda: self._first_largest(mp, H, J)), (masses, H, J)
+            if isinstance(got[0], type):
+                raised.add(got[0])
+        assert raised == {NoSplittingError, ChainOverflowError}
+
+    def test_one_marchal_enclosure(self, monkeypatch):
+        calls = []
+
+        def counting(rc, mp):
+            calls.append(mp)
+            return marchal_comparison(rc, mp)
+
+        monkeypatch.setattr(bd, "marchal_comparison", counting)
+        i0(MassParams(1.0, 2.0, 3.0), -0.5, 0.1)
+        assert len(calls) == 1
+
+    def test_equal_masses_tie_picks_far_body_1(self, appendix_i0):
+        assert appendix_i0[1].far_body == 1
+        assert i0(MassParams(1.0, 1.0, 1.0), -0.5, 0.1)[1].far_body == 1
 
     def test_monotone_in_J(self, mp_equal):
         u_hat = euler_potential_saddle(mp_equal)

@@ -21,9 +21,18 @@ from lunarbound.harness import (
     run_theorem_experiment,
     sample_initial_conditions,
 )
-from lunarbound import cli
+from lunarbound import cli, harness
+from lunarbound.bounds import compute_chain
 from lunarbound.integrate import integrate
 from lunarbound import kepler as kp
+
+
+# inner eccentricities this close to 1 underflow the step size in the
+# backward direction of sample 2
+SINGULAR = {
+    "masses": [1, 1, 1], "H": -0.5, "J": [0, 0, 0.1], "level": 60.0, "max_steps": 20000,
+    "sampler": {"count": 4, "seed": 3, "inner": {"e1": [0.99999999, 0.999999999]}},
+}
 
 
 def appendix_cfg(**kw):
@@ -476,11 +485,7 @@ class TestCli:
         # inner eccentricities this close to 1 underflow the step size in one
         # direction of sample 2: that direction fails, the batch still reports
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({
-            "masses": [1, 1, 1], "H": -0.5, "J": [0, 0, 0.1], "level": 60.0,
-            "max_steps": 20000,
-            "sampler": {"count": 4, "seed": 3, "inner": {"e1": [0.99999999, 0.999999999]}},
-        }))
+        p.write_text(json.dumps(SINGULAR))
         out_dir = tmp_path / "out"
         code = self.run_cli("--config", str(p), "--out", str(out_dir), "verify-theorem")
         capsys.readouterr()
@@ -493,3 +498,32 @@ class TestCli:
         d = report["samples"][2]["backward"]
         assert d["entered"] is False and d["t_entry"] is None
         assert d["n_steps"] > 0 and d["min_I"] > report["level"]
+
+    def test_singular_sandwich_side_is_reported_per_sample(self, tmp_path, monkeypatch, capsys):
+        # the same sample 2 in the deviation batch: its backward side fails,
+        # and the sample says so in place of the deviation checks
+        cfg = ScenarioConfig.from_dict(SINGULAR)
+        bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag)
+        I_bar = bs.R_bar
+        failed = harness._sandwich_sample(cfg, bs, I_bar, bs.i_plus(I_bar), bs.horizon(I_bar), 2)
+        assert failed == {"index": 2, "I_initial": failed["I_initial"], "ok": False,
+                          "violations": 0, "status": "failed", "side": "backward",
+                          "n_steps": failed["n_steps"]}
+        assert failed["n_steps"] > 0 and failed["I_initial"] >= I_bar
+        # in a batch that sample is not ok, and the worst deviation is the
+        # other samples' worst; the report is written and the command exits 1
+        real = harness._sandwich_sample
+        monkeypatch.setattr(harness, "_sandwich_sample", lambda *a: (
+            {**failed, "index": 1} if a[-1] == 1 else real(*a)))
+        p = tmp_path / "cfg.json"
+        p.write_text(canonical_json(appendix_cfg(count=2, seed=6).to_dict()))
+        out_dir = tmp_path / "out"
+        code = self.run_cli("--config", str(p), "--out", str(out_dir), "verify-sandwich")
+        capsys.readouterr()
+        assert code == 1
+        report = json.loads((out_dir / "sandwich_report.json").read_text())
+        s0, s1 = report["samples"]
+        assert s0["ok"] and s1["status"] == "failed"
+        agg = report["aggregate"]
+        assert (agg["ok"], agg["violations"]) == (1, 0)
+        assert agg["worst_deviation_fraction"] == s0["max_deviation"] / s0["bound"]
