@@ -115,7 +115,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"--index must lie in [0, {cfg.count}), got {args.index}")
     (st,) = sample_initial_conditions(cfg, indices=[args.index])
     traj = integrate(st, cfg.far_mp, (0.0, args.t1), rtol=cfg.tol, atol=cfg.tol,
-                     regularize=cfg.regularize)
+                     dense=False, regularize=cfg.regularize)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     traj.to_csv(out_dir / "trajectory.csv")

@@ -2,12 +2,15 @@
 
 Covers every conic type in one code path: elements from a state vector,
 universal-variable propagation (Stumpff functions, Newton with a bisection
-safeguard), time to pericenter, the radial-fall closed forms, and the
-time-of-flight function behind Lambert's theorem.
+safeguard), time to pericenter, radial fall times, and the time-of-flight
+function behind Lambert's theorem.
 
-Radial (zero angular momentum) orbits are ordinary values here, not a
-special type: they carry c = 0, eccentricity 1 and a signed radial phase,
-and their "pericenter" is the collision itself.
+One Kepler clock, ``_time_since_pericenter``, serves the pericenter times,
+the radial collision window, the radial fall times and the osculating exit
+time; it branches on the sign of the energy alone, and no orbit carries a
+conic label.  Radial (zero angular momentum) orbits are ordinary values
+here, not a special type: they carry c = 0, eccentricity 1 and a signed
+radial phase, and their "pericenter" is the collision itself.
 """
 
 from __future__ import annotations
@@ -100,24 +103,6 @@ class KeplerElements:
         return float(np.linalg.norm(self.e_vec))
 
     @property
-    def conic(self) -> str:
-        if self.c <= _RADIAL_TOL * math.sqrt(self.kappa * max(self._r_scale, 1e-300)):
-            return "radial"
-        htol = 1e-12 * self.kappa / max(self._r_scale, 1e-300)
-        if self.h < -htol:
-            return "elliptic"
-        if self.h > htol:
-            return "hyperbolic"
-        return "parabolic"
-
-    @property
-    def _r_scale(self) -> float:
-        # length scale for tolerance purposes: semi-latus or energy length
-        if self.h != 0.0:
-            return abs(self.kappa / (2.0 * self.h))
-        return max(self.c**2 / self.kappa, 1.0)
-
-    @property
     def a(self) -> float:
         """Semi-major axis (negative for hyperbolic, inf for parabolic)."""
         if self.h == 0.0:
@@ -126,9 +111,8 @@ class KeplerElements:
 
     @property
     def q_peri(self) -> float:
+        """Pericenter distance c^2/(kappa (1 + e)), 0 on a radial orbit."""
         c = self.c
-        if self.conic == "radial":
-            return 0.0
         return c * c / (self.kappa * (1.0 + self.e))
 
 
@@ -210,31 +194,29 @@ def _is_radial(s: TwoBodyState) -> bool:
     return c <= _RADIAL_TOL * math.sqrt(s.kappa * r) + _RADIAL_TOL * r * s.speed
 
 
-def _time_since_pericenter(conic: str, r: float, rv: float, h: float, kappa: float,
+def _time_since_pericenter(r: float, rv: float, h: float, kappa: float,
                            e: float = 1.0, q: float = 0.0) -> float:
     """Signed time since the nearest pericenter passage at radius r, with
-    rv = xi . dxi and energy h: positive outbound, negative inbound.
+    rv = xi . dxi, energy h, eccentricity e and pericenter distance q:
+    positive outbound, negative inbound.
 
-    The elliptic anomaly comes from atan2 (the result lies in (-T/2, T/2]),
-    the hyperbolic one from asinh, and the parabolic time from Barker's
-    equation with pericenter distance q, which at q = 0 is the radial fall.
+    Kepler's equation with 1 - e written as q/a (bound) or e - 1 as q/|a|
+    (unbound), so nothing cancels as e -> 1: the elliptic anomaly comes from
+    atan2 (the result lies in (-T/2, T/2]), the hyperbolic one from asinh,
+    and h = 0 is Barker's equation, which at q = 0 is the radial fall.
     Radial orbits are the case e = 1, q = 0, their pericenter the collision.
     """
-    if conic == "elliptic":
+    if h < 0.0:
         a = -kappa / (2.0 * h)
-        n = math.sqrt(kappa / a**3)
         esinE = rv / math.sqrt(kappa * a)
         E = math.atan2(esinE, 1.0 - r / a)
-        return (E - esinE) / n
-    if conic == "hyperbolic":
+        return (q * math.sqrt(a) * E + e * a**1.5 * _e_minus_sin(E)) / math.sqrt(kappa)
+    if h > 0.0:
         aa = kappa / (2.0 * h)
-        nh = math.sqrt(kappa / aa**3)
-        esinhF = rv / math.sqrt(kappa * aa)
-        return (esinhF - math.asinh(esinhF / e)) / nh
-    if q <= 0.0:
-        return math.copysign(math.sqrt(2.0 / (9.0 * kappa)) * r**1.5, rv)
-    D = math.copysign(math.sqrt(max(r / q - 1.0, 0.0)), rv)
-    return math.sqrt(2.0 * q**3 / kappa) * (D + D**3 / 3.0)
+        F = math.asinh(rv / math.sqrt(kappa * aa) / e)
+        return (q * math.sqrt(aa) * F + e * aa**1.5 * _sinh_minus(F)) / math.sqrt(kappa)
+    d = max(r - q, 0.0)
+    return math.copysign(math.sqrt(2.0 / kappa) * (q + d / 3.0) * math.sqrt(d), rv)
 
 
 def _radial_collision_window(s: TwoBodyState):
@@ -246,9 +228,8 @@ def _radial_collision_window(s: TwoBodyState):
     r = s.r
     kappa = s.kappa
     h = 0.5 * s.speed**2 - kappa / r
-    conic = "elliptic" if h < 0.0 else "parabolic" if h == 0.0 else "hyperbolic"
     vr = float(s.xi @ s.dxi) / r
-    t_since = _time_since_pericenter(conic, r, vr * r, h, kappa)
+    t_since = _time_since_pericenter(r, vr * r, h, kappa)
     if h < 0.0:
         a = -kappa / (2.0 * h)
         T = 2.0 * math.pi / math.sqrt(kappa / a**3)
@@ -374,7 +355,10 @@ def _solve_universal(r0, rv, alpha, kappa, dt) -> float:
     lo, hi = (0.0, sgn * far) if sgn > 0 else (sgn * far, 0.0)
 
     chi = min(max(chi, lo), hi)
-    scale = math.sqrt(kappa) * abs(dt) + r0 * max(abs(lo), abs(hi))
+    # the residual is judged at the iterate, not over the bracket: for a
+    # nearly parabolic orbit the hyperbolic seed can lie 1e7 times past the
+    # root, and a bracket that wide must not widen the tolerance with it
+    sqk_dt = math.sqrt(kappa) * abs(dt)
     best_chi, best_absf = chi, math.inf
     for _ in range(_UKEPLER_MAXITER * 4):
         F, dF = _universal_f(chi, r0, rv, alpha, kappa, dt)
@@ -384,7 +368,7 @@ def _solve_universal(r0, rv, alpha, kappa, dt) -> float:
             hi = chi
         elif F < 0.0:
             lo = chi
-        if abs(F) <= _UKEPLER_TOL * scale:
+        if abs(F) <= _UKEPLER_TOL * (sqk_dt + r0 * abs(chi)):
             return chi
         step_ok = math.isfinite(F) and dF > 0.0 and math.isfinite(dF)
         if step_ok:
@@ -396,7 +380,7 @@ def _solve_universal(r0, rv, alpha, kappa, dt) -> float:
             break
         chi = nxt
     F, _ = _universal_f(best_chi, r0, rv, alpha, kappa, dt)
-    if not abs(F) <= 1e-9 * scale:
+    if not abs(F) <= 1e-9 * (sqk_dt + r0 * abs(best_chi)):
         raise ArithmeticError(
             f"universal Kepler solve failed (residual {F:.3e} at chi={best_chi:.6e})"
         )
@@ -433,7 +417,7 @@ def time_to_pericenter(s: TwoBodyState) -> PericenterTime:
             return PericenterTime(t_next, +1)
         return PericenterTime(-t_prev, -1)
 
-    m = _time_since_pericenter(el.conic, r, rv, el.h, s.kappa, el.e, el.q_peri)
+    m = _time_since_pericenter(r, rv, el.h, s.kappa, el.e, el.q_peri)
     if m > 0.0:
         return PericenterTime(m, -1)
     return PericenterTime(abs(m), +1)
@@ -450,28 +434,21 @@ def collision_time_bound(rho0: float, kappa: float) -> float:
 def radial_fall_time(x: float, h: float, kappa: float) -> float:
     """Time from the center to radius x on a radial orbit of energy h.
 
-    The closed forms per conic class; this is also the building block of the
-    time-of-flight function below (any Kepler arc has a rectilinear
-    configuration with the same energy, chord and radius sum).
+    The outbound reading of the Kepler clock at e = 1, q = 0; this is also
+    the building block of the time-of-flight function below (any Kepler arc
+    has a rectilinear configuration with the same energy, chord and radius
+    sum).
     """
     if x <= 0.0:
         return 0.0
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    if h < 0.0:
-        a = kappa / (-2.0 * h)
-        arg = x / (2.0 * a)
-        if arg > 1.0 + 1e-12:
-            raise InfeasibleGeometryError(
-                f"radius {x} unreachable at energy {h} (max {2 * a})"
-            )
-        E = 2.0 * math.asin(math.sqrt(min(arg, 1.0)))
-        return math.sqrt(a**3 / kappa) * _e_minus_sin(E)
-    if h > 0.0:
-        aa = kappa / (2.0 * h)
-        F = 2.0 * math.asinh(math.sqrt(x / (2.0 * aa)))
-        return math.sqrt(aa**3 / kappa) * _sinh_minus(F)
-    return math.sqrt(2.0 / (9.0 * kappa)) * x**1.5
+    if h < 0.0 and x > (1.0 + 1e-12) * kappa / abs(h):
+        raise InfeasibleGeometryError(
+            f"radius {x} unreachable at energy {h} (max {kappa / abs(h)})"
+        )
+    rv = x * math.sqrt(max(2.0 * (h + kappa / x), 0.0))
+    return _time_since_pericenter(x, rv, h, kappa)
 
 
 def lambert_time_of_flight(r1: float, r2: float, d: float, h: float, kappa: float) -> float:

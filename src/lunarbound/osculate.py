@@ -58,10 +58,10 @@ class SandwichParams:
     """Inputs of the radial comparison equations at a reference level I_bar.
 
     omega = k eps^3 is the Lipschitz constant of the osculating radial field
-    above rho_bar, with k = 2M + 3 c0^2 clamped into [2M, 2M + 3 c_J2^2];
-    eta_bound(t) = (2 a eps^4/omega)(cosh(sqrt(omega) t) - 1) dominates the
-    gap between the comparison solutions and stays below A1 eps through the
-    horizon.
+    above rho_bar, with k = min(2M + 3 c0^2, 2M + 3 c_J2^2), which lies in
+    [2M, 2M + 3 c_J2^2]; eta_bound(t) = (2 a eps^4/omega)(cosh(sqrt(omega) t)
+    - 1) dominates the gap between the comparison solutions and stays below
+    A1 eps through the horizon.
     """
 
     epsilon: float
@@ -76,7 +76,7 @@ def sandwich_params(bs: BoundSet, I_bar: float, c0: float, M: float) -> Sandwich
     eps = bs.epsilon(I_bar)
     if eps > 1.0 + 1e-12:
         raise ValueError("epsilon > 1: level below the validity threshold")
-    k = min(max(2.0 * M + 3.0 * c0 * c0, 2.0 * M), 2.0 * M + 3.0 * bs.c_j2**2)
+    k = min(2.0 * M + 3.0 * c0 * c0, 2.0 * M + 3.0 * bs.c_j2**2)
     omega = k * eps**3
     return SandwichParams(
         epsilon=eps,
@@ -122,7 +122,6 @@ def sandwich_ode(
     sp: SandwichParams,
     M: float,
     direction: int = +1,
-    forcing: Optional[float] = None,
 ) -> SandwichSolution:
     """Integrate rho''_± = c0^2 rho^-3 - M rho^-2 ± a eps^4 from the true
     initial radius and radial speed, densely, out to the horizon.
@@ -130,12 +129,10 @@ def sandwich_ode(
     The monotonicity hypothesis (rho_± above 3 c0^2/(2M)) is watched with a
     terminal event; crossing it truncates the validity window and flags the
     solution, and so does a step size failure, at the last accepted time.
-    ``forcing`` overrides a eps^4 (zero reproduces the osculating radial
-    equation for both solutions).
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    f = sp.a * sp.epsilon**4 if forcing is None else float(forcing)
+    f = sp.a * sp.epsilon**4
     c0sq = sp.c0**2
     floor = 1.5 * c0sq / M
 
@@ -161,31 +158,28 @@ def sandwich_ode(
 
 
 def _osc_exit_time(tb0: kepler.TwoBodyState, rho_bar: float, horizon: float) -> Optional[float]:
-    """First signed t, |t| <= horizon, where the osculating outer radius
-    crosses rho_bar going down, searched in the direction that reaches
-    pericenter: a pericenter below rho_bar is what makes the crossing
-    certain."""
-    t_pc, direction = kepler.time_to_pericenter(tb0)
-    t_hi = min(t_pc, horizon)
-    if t_hi <= 0.0:
-        return None
-
-    def radius_gap(t):
-        try:
-            return kepler.propagate(tb0, direction * t).r - rho_bar
-        except kepler.CollisionAtTimeError:
-            return -rho_bar
-
-    if radius_gap(0.0) <= 0.0:
+    """Signed t, |t| <= horizon, where the osculating outer radius falls to
+    rho_bar on the pericenter side (forward when inbound, backward when
+    outbound): the Kepler clock read at rho_bar on the state's own branch,
+    less its reading at the state.  A pericenter below rho_bar is what makes
+    the crossing certain; 0 when the state already lies at or below rho_bar."""
+    r0 = tb0.r
+    if r0 <= rho_bar:
         return 0.0
-    if radius_gap(t_hi) > 0.0:
+    el = kepler.elements_from_state(tb0)
+    q = el.q_peri
+    if q >= rho_bar:
         return None
-    return direction * brentq(radius_gap, 0.0, t_hi, xtol=1e-13, maxiter=200)
+    h, kappa, e = el.h, el.kappa, el.e
+    rv0 = float(tb0.xi @ tb0.dxi)
+    rv_bar = math.copysign(math.sqrt(max(2.0 * rho_bar * (h * rho_bar + kappa) - el.c**2, 0.0)), rv0)
+    t = (kepler._time_since_pericenter(rho_bar, rv_bar, h, kappa, e, q)
+         - kepler._time_since_pericenter(r0, rv0, h, kappa, e, q))
+    return None if abs(t) > horizon else t
 
 
 # Relative slack taken off the certificate's target radius: it covers the
-# residual the universal Kepler solve may accept (1e-9 of its scale) and the
-# root tolerance of the crossing search
+# rounding of the closed-form Kepler clock that reads the exit time
 _CERT_SLACK = 1e-9
 
 
@@ -204,7 +198,9 @@ def certify_entry(
     The state is taken to lie at the chain's (H, J) levels, where the
     region bounds (r <= c_r, |J2| <= alpha2 c_J2) hold above I*_eff.  With
     eps = eps(level), t* is where the exact outer osculating orbit of
-    ``state`` falls to rho_bar(level) - A1 eps.  Hypotheses, each checked:
+    ``state`` falls to rho_bar(level) - A1 eps, read off the Kepler clock in
+    closed form (no propagation, so states at ~1e22 are read as accurately
+    as any other).  Hypotheses, each checked:
 
       * level >= R_bar, so eps <= 1 and the deviation constants apply;
       * the bound set describes the state's own Jacobi splitting (mp is

@@ -9,6 +9,8 @@ from scipy.integrate import solve_ivp
 
 from lunarbound import kepler as kp
 
+from conftest import kepler_state, mp_kepler_clock
+
 
 def elliptic_state(a, e, kappa, E, incl=0.0):
     """State on an ellipse at eccentric anomaly E (orbit in a tilted plane)."""
@@ -60,8 +62,7 @@ class TestElements:
     def test_radial(self):
         s = kp.TwoBodyState(xi=[1.0, 1.0, 0], dxi=[0.3, 0.3, 0], kappa=1.0)
         el = kp.elements_from_state(s)
-        assert el.conic == "radial"
-        assert el.q_peri == 0.0
+        assert el.c == 0.0 and el.q_peri == 0.0
         assert el.e == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_radius_rejected(self):
@@ -166,6 +167,16 @@ class TestPropagate:
         assert tp2.direction == tp.direction
         assert tp2.time == pytest.approx(tp.time - abs(dt), rel=1e-12)
 
+    def test_near_parabolic_seed_far_past_the_root(self):
+        # the hyperbolic seed is -1.7e8 for a root near -19.7: the solve's
+        # residual is judged at its iterate, not over that wide bracket
+        s = kp.TwoBodyState(xi=[74.60499418457249, -96.50796037102394, -231.3667492651786],
+                            dxi=[0.0318759909680895, -0.03563697279550638, -0.06433052867425795],
+                            kappa=0.8401740533208013)
+        t = -2230.647904435789
+        s2 = kp.propagate(s, t)
+        assert float(mp_kepler_clock(s, s2.r) - mp_kepler_clock(s)) == pytest.approx(t, rel=1e-12)
+
     def test_radial_collision_raises(self):
         s = kp.TwoBodyState(xi=[1, 0, 0], dxi=[0, 0, 0], kappa=1.0)
         t_col = math.pi / math.sqrt(8.0)
@@ -236,7 +247,7 @@ class TestTimeToPericenter:
         # with tan(nu/2) = +-1 gives sqrt(2 q^3/kappa) (1 + 1/3) = 2/3
         s = kp.TwoBodyState(xi=[1.0, 0, 0], dxi=[vx, 1.0, 0], kappa=1.0)
         el = kp.elements_from_state(s)
-        assert el.conic == "parabolic" and el.q_peri == pytest.approx(0.5, rel=1e-15)
+        assert el.h == 0.0 and el.q_peri == pytest.approx(0.5, rel=1e-15)
         t, sig = kp.time_to_pericenter(s)
         assert sig == direction
         assert t == pytest.approx(2.0 / 3.0, rel=1e-14)
@@ -249,6 +260,49 @@ class TestTimeToPericenter:
         t, sig = kp.time_to_pericenter(s)
         assert sig == +1
         assert t == kp.radial_fall_time(r, 0.0, kappa)
+
+
+class TestKeplerClock:
+    """time_to_pericenter against Barker's equation and the 60-digit clock
+    near e = 1, where Kepler's equation cancels unless 1 - e is carried as
+    q/a, and next to the radial threshold."""
+
+    @pytest.mark.parametrize("vy", [1.0 + 1e-15, math.sqrt(1.0 + 2e-12), math.sqrt(1.0 - 2e-12)])
+    def test_near_parabolic_reaches_pericenter(self, vy):
+        # h = 1.1e-15, +1e-12 and -1e-12 next to the Barker state above
+        s = kp.TwoBodyState(xi=[1.0, 0, 0], dxi=[-1.0, vy, 0], kappa=1.0)
+        el = kp.elements_from_state(s)
+        t, sig = kp.time_to_pericenter(s)
+        assert sig == +1
+        assert t == pytest.approx(2.0 / 3.0, rel=1e-11)
+        assert t == pytest.approx(-float(mp_kepler_clock(s)), rel=1e-14)
+        assert abs(kp.propagate(s, t).r - el.q_peri) <= 1e-14 * el.q_peri
+
+    def test_near_radial_bound_state_keeps_its_energy(self):
+        # c = 9.6e-13 is above _is_radial's threshold, so the clock reads the
+        # bound orbit: its fall time, not the parabolic one
+        s = kp.TwoBodyState(xi=[0.15, 0, 0], dxi=[-3.5118845842842465, 6.4e-12, 0], kappa=1.0)
+        assert not kp._is_radial(s)
+        el = kp.elements_from_state(s)
+        assert el.h < 0.0
+        t, sig = kp.time_to_pericenter(s)
+        assert sig == +1
+        assert t == pytest.approx(kp.radial_fall_time(0.15, el.h, 1.0), rel=1e-13)
+        assert t == pytest.approx(-float(mp_kepler_clock(s)), rel=1e-13)
+
+    def test_against_60_digit_clock(self):
+        # near-radial states that _is_radial takes are timed by the collision
+        # window instead, and left out
+        rng = np.random.default_rng(7)
+        checked = 0
+        for kind in ("generic", "parabolic", "radial") * 200:
+            s = kepler_state(rng, kind)
+            if kp._is_radial(s):
+                continue
+            t, sig = kp.time_to_pericenter(s)
+            assert -sig * t == pytest.approx(float(mp_kepler_clock(s)), rel=1e-12)
+            checked += 1
+        assert checked >= 450
 
 
 class TestCollisionTimeBound:

@@ -18,6 +18,7 @@ from lunarbound.harness import (
 )
 from lunarbound.integrate import EventSpec, integrate
 from lunarbound.osculate import (
+    _osc_exit_time,
     certify_entry,
     eta_bound,
     osculating_orbit,
@@ -26,6 +27,8 @@ from lunarbound.osculate import (
     verify_deviation,
 )
 from lunarbound.core import moment_of_inertia
+
+from conftest import kepler_state, mp_kepler_clock
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +93,8 @@ class TestSandwichOde:
         sp = sandwich_params(bs, I_bar, el0.c, mp.M)
         rho0 = state.rho
         drho0 = float(state.xi2 @ state.dxi2) / rho0
-        sw = sandwich_ode(rho0, drho0, sp, mp.M, direction=+1, forcing=0.0)
+        # a = 0 makes the forcing a eps^4 exactly 0.0
+        sw = sandwich_ode(rho0, drho0, dataclasses.replace(sp, a=0.0), mp.M, direction=+1)
         t_check = min(sw.t_valid, 20.0)
         for t in np.linspace(0.0, t_check, 9):
             rho_osc = kp.propagate(tb0, t).r
@@ -182,7 +186,9 @@ class TestSandwichAgainstSolveIvp:
         sp = sandwich_params(bs, I_bar, el0.c, mp.M)
         rho0 = state.rho
         drho0 = float(state.xi2 @ state.dxi2) / rho0
-        sw = sandwich_ode(rho0, drho0, sp, mp.M, direction=direction, forcing=forcing)
+        # the one override is forcing = 0.0, which a = 0 gives exactly
+        run_sp = sp if forcing is None else dataclasses.replace(sp, a=0.0)
+        sw = sandwich_ode(rho0, drho0, run_sp, mp.M, direction=direction)
         ref = solve_ivp_sandwich(rho0, drho0, sp, mp.M, direction, forcing)
         hits = [abs(float(r.t_events[0][0])) for r in ref.values() if r.t_events[0].size]
         assert all(r.status in (0, 1) for r in ref.values())
@@ -201,7 +207,7 @@ class TestSandwichAgainstSolveIvp:
         mp, bs, I_bar, _, fwd, _ = sample_trajectories
         el0, _ = osculating_orbit(fwd, 0.0)
         sp = dataclasses.replace(sandwich_params(bs, I_bar, el0.c, mp.M), c0=0.0)
-        sw = sandwich_ode(1.0, 0.0, sp, mp.M, direction=direction, forcing=0.0)
+        sw = sandwich_ode(1.0, 0.0, dataclasses.replace(sp, a=0.0), mp.M, direction=direction)
         ref = solve_ivp_sandwich(1.0, 0.0, sp, mp.M, direction, forcing=0.0)
         assert all(r.status == -1 and not r.t_events[0].size for r in ref.values())
         assert not sw.monotone_ok
@@ -342,3 +348,35 @@ class TestCertifyEntry:
         # constants of another splitting say nothing about this state
         other = dataclasses.replace(bs, masses=(0.2, 0.3, 0.5))
         assert certify_entry(state, mp, other, I0_val, sign, budget) is None
+
+
+class TestOscExitTime:
+    """The osculating exit time read off the Kepler clock, on 1,200 seeded
+    states: generic, near-parabolic and near-radial."""
+
+    def test_closed_form_against_propagation_and_60_digits(self):
+        rng = np.random.default_rng(3)
+        seen = {"zero": 0, "none": 0, "time": 0}
+        for kind in ("generic", "parabolic", "radial") * 400:
+            s = kepler_state(rng, kind)
+            rho_bar = s.r * rng.uniform(0.02, 1.3)
+            t = _osc_exit_time(s, rho_bar, math.inf)
+            q = kp.elements_from_state(s).q_peri
+            if s.r <= rho_bar:
+                assert t == 0.0
+                seen["zero"] += 1
+                continue
+            if q >= rho_bar:
+                assert t is None
+                seen["none"] += 1
+                continue
+            seen["time"] += 1
+            # toward pericenter: forward when inbound, backward when outbound
+            assert t * float(s.xi @ s.dxi) < 0.0
+            assert _osc_exit_time(s, rho_bar, abs(t)) == t
+            assert _osc_exit_time(s, rho_bar, 0.5 * abs(t)) is None
+            m0, m_bar = mp_kepler_clock(s), mp_kepler_clock(s, rho_bar)
+            assert abs(t - float(m_bar - m0)) <= 1e-13 * max(abs(float(m0)), abs(float(m_bar)))
+            if q < 0.9 * rho_bar:
+                assert abs(kp.propagate(s, t).r - rho_bar) <= 1e-9 * rho_bar
+        assert min(seen.values()) >= 100
