@@ -17,9 +17,7 @@ from .core import (
     from_jacobi,
     moment_of_inertia,
     perturbation,
-    perturbation_gradients,
     to_jacobi,
-    vector_field,
 )
 from .kepler import (
     CollisionAtTimeError,

@@ -462,23 +462,13 @@ class MarchalComparison:
     lam_max: float
 
 
-def marchal_phi(mp: MassParams, lam, gamma):
-    """Two-term attraction factor; phi(0, gamma) = 1 for all gamma."""
-    mu1, mu2 = mp.mu1, mp.mu2
-    cg = np.cos(gamma)
-    t1 = mu1 * (1.0 + mu2 * cg * lam) / (1.0 + 2.0 * mu2 * cg * lam + (mu2 * lam) ** 2) ** 1.5
-    t2 = mu2 * (1.0 - mu1 * cg * lam) / (1.0 - 2.0 * mu1 * cg * lam + (mu1 * lam) ** 2) ** 1.5
-    return t1 + t2
-
-
-def _term_box(w, m, l0, l1, c0, c1, s0, s1):
-    """Enclosures for one term t = w (1 + a c) D^(-3/2) of phi, with a = m lam
+def _term_value(w, m, l0, l1, c0, c1):
+    """Enclosure of one term t = w (1 + a c) D^(-3/2) of phi, with a = m lam
     and D = 1 + 2 a c + a^2, over lam in [l0, l1] (l0 >= 0), c in [c0, c1].
 
-    Returns (t0, t1, rp0, rp1, rq0, rq1): t and the factors D^(-5/2) P and
-    D^(-5/2) Q of its derivatives, dt/dlam = -w m D^(-5/2) P and
-    dt/dc = w m lam D^(-5/2) Q, where P = 2c(1 + a^2) + a(3 + c^2) and
-    Q = a^2 - a c - 2.  [s0, s1] encloses 3 + c^2.
+    Returns (t0, t1, a0, a1, ac0, ac1, aa0, aa1, d0, d1, q0, q1): t and the
+    enclosures of a, a c, a^2, D and D^(-3/2) it is built from, which
+    _term_box reuses for the derivatives.
     """
     nx = math.nextafter
     a0 = max(nx(m * l0, _DN), 0.0)
@@ -497,6 +487,19 @@ def _term_box(w, m, l0, l1, c0, c1, s0, s1):
     q1 = nx(1.0 / nx(d0 * nx(math.sqrt(d0), _DN), _DN), _UP)
     t0 = nx(nx(w * u0, _DN) * q0, _DN)
     t1 = nx(nx(w * u1, _UP) * q1, _UP)
+    return t0, t1, a0, a1, ac0, ac1, aa0, aa1, d0, d1, q0, q1
+
+
+def _term_box(w, m, l0, l1, c0, c1, s0, s1):
+    """_term_value's enclosure of t, and the factors D^(-5/2) P and
+    D^(-5/2) Q of its derivatives, dt/dlam = -w m D^(-5/2) P and
+    dt/dc = w m lam D^(-5/2) Q, where P = 2c(1 + a^2) + a(3 + c^2) and
+    Q = a^2 - a c - 2.  [s0, s1] encloses 3 + c^2.
+
+    Returns (t0, t1, rp0, rp1, rq0, rq1).
+    """
+    nx = math.nextafter
+    t0, t1, a0, a1, ac0, ac1, aa0, aa1, d0, d1, q0, q1 = _term_value(w, m, l0, l1, c0, c1)
     r0 = nx(q0 / d1, _DN)
     r1 = nx(q1 / d0, _UP)
     e0 = nx(1.0 + aa0, _DN)
@@ -512,11 +515,25 @@ def _term_box(w, m, l0, l1, c0, c1, s0, s1):
     )
 
 
+def _add(x0, x1, y0, y1):
+    """Outward-rounded [x0, x1] + [y0, y1]."""
+    return math.nextafter(x0 + y0, _DN), math.nextafter(x1 + y1, _UP)
+
+
+def _phi_point(mu1, mu2, lam, c):
+    """Outward-rounded enclosure (f0, f1) of phi at the point (lam, c): the
+    value part of _phi_box(mu1, mu2, lam, lam, c, c), bit for bit, without
+    its gradient."""
+    t0, t1 = _term_value(mu1, mu2, lam, lam, c, c)[:2]
+    v0, v1 = _term_value(mu2, mu1, lam, lam, -c, -c)[:2]
+    return _add(t0, t1, v0, v1)
+
+
 def _phi_box(mu1, mu2, l0, l1, c0, c1):
     """Outward-rounded enclosures of phi, dphi/dlam and dphi/dc over the box
     lam in [l0, l1], c = cos(gamma) in [c0, c1], in one pass.
 
-    phi(lam, c) = t(mu1, mu2, c) + t(mu2, mu1, -c) with t as in _term_box.
+    phi(lam, c) = t(mu1, mu2, c) + t(mu2, mu1, -c) with t as in _term_value.
     Returns (f0, f1, gl0, gl1, gc0, gc1).
     """
     nx = math.nextafter
@@ -540,7 +557,7 @@ def _phi_box(mu1, mu2, l0, l1, c0, c1):
     y0 = nx(g0 - G1, _DN)
     y1 = nx(g1 - G0, _UP)
     return (
-        nx(t0 + v0, _DN), nx(t1 + v1, _UP),
+        *_add(t0, t1, v0, v1),
         -nx(h1 * (k1 if h1 > 0.0 else k0), _UP), -nx(h0 * (k0 if h0 > 0.0 else k1), _DN),
         nx(y0 * (z1 if y0 < 0.0 else z0), _DN), nx(y1 * (z0 if y1 < 0.0 else z1), _UP),
     )
@@ -556,17 +573,19 @@ def _marchal_bnb(mu1: float, mu2: float, lam_edge: float):
     is cut down to it.  Otherwise the box's lower bound is the larger of the
     natural enclosure and the mean-value form about its midpoint, whose
     upper end also lowers the incumbent.  The incumbent starts from
-    lam in {0, lam_edge} x c in {-1, 0, 1}; boxes are popped lowest bound
-    first and bisected along the coordinate with the largest width times
-    gradient magnitude, until the lowest open bound is within DELTA_TOL of
-    the incumbent.
+    lam in {0, lam_edge} x c in {-1, 0, 1}.  These probes and the midpoint
+    one need phi's value at a point only: they read _phi_point, which skips
+    the gradient and gives the point box's value bit for bit.  Boxes are
+    popped lowest bound first and bisected along the coordinate with the
+    largest width times gradient magnitude, until the lowest open bound is
+    within DELTA_TOL of the incumbent.
 
     Returns (lower, upper, boxes, open_boxes): min phi lies in
     [lower, upper], boxes counts the enclosures made, and open_boxes holds
     (bound, seq, l0, l1, c0, c1, split) for each box still open.
     """
     nx = math.nextafter
-    upper = min(_phi_box(mu1, mu2, L, L, c, c)[1]
+    upper = min(_phi_point(mu1, mu2, L, c)[1]
                 for L in (0.0, lam_edge) for c in (-1.0, 0.0, 1.0))
     heap = []
     boxes = 0
@@ -603,7 +622,7 @@ def _marchal_bnb(mu1: float, mu2: float, lam_edge: float):
             break
         lm = 0.5 * (l0 + l1)
         cm = 0.5 * (c0 + c1)
-        m0, m1 = _phi_box(mu1, mu2, lm, lm, cm, cm)[:2]
+        m0, m1 = _phi_point(mu1, mu2, lm, cm)
         upper = min(upper, m1)
         dl0 = nx(l0 - lm, _DN)
         dl1 = nx(l1 - lm, _UP)

@@ -9,6 +9,7 @@ overflows the double range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -186,7 +187,13 @@ def _cmd_appendix(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    parse_args keeps nothing between calls: each returns a fresh namespace,
+    and main fills the optional attributes on that namespace, not here.
+    """
     p = argparse.ArgumentParser(
         prog="lunarbound",
         description="three-body inertia-bound toolkit: bound chain, simulation, verification",

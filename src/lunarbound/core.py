@@ -31,8 +31,6 @@ __all__ = [
     "angular_momentum",
     "energy_split",
     "perturbation",
-    "perturbation_gradients",
-    "vector_field",
     "flat_inertia",
     "make_rhs",
 ]
@@ -279,49 +277,11 @@ def energy_split(state: JacobiState, mp: MassParams):
     return H1 + H2 + g, H1, H2, g
 
 
-def perturbation_gradients(state: JacobiState, mp: MassParams):
-    """Analytic gradients (g_xi1, g_xi2) of the coupling term.
-
-    The dipole contributions cancel, which is why |g_xi2| = O(r^2/rho^4);
-    finite differences are used as the oracle for these in the tests.
-    """
-    u, w, nu, nw, rho = _interaction_terms(state, mp)
-    m13 = mp.m1 * mp.m3
-    m23 = mp.m2 * mp.m3
-    gu = u / nu**3
-    gw = w / nw**3
-    g_xi1 = m13 * mp.mu2 * gu - m23 * mp.mu1 * gw
-    g_xi2 = -mp.beta2 * state.xi2 / rho**3 + m13 * gu + m23 * gw
-    return g_xi1, g_xi2
-
-
-def vector_field(state: JacobiState, mp: MassParams, kepler_only: bool = False) -> np.ndarray:
-    """Time derivative of the flat state vector (see JacobiState.as_vector).
-
-    alpha_i xi_i'' = -beta_i xi_i/|xi_i|^3 - g_xi_i, i.e. the force is minus
-    the gradient of the full potential; the sign is pinned by conservation of
-    the split energy, which the integration tests check.  ``kepler_only``
-    drops the coupling (test hook: two uncoupled Kepler fields with
-    parameters mu and M).
-    """
-    r = state.r
-    rho = state.rho
-    if r == 0.0 or rho == 0.0:
-        raise SingularConfigurationError("degenerate configuration in vector_field")
-    dd1 = -mp.mu * state.xi1 / r**3
-    dd2 = -mp.M * state.xi2 / rho**3
-    if not kepler_only:
-        g1, g2 = perturbation_gradients(state, mp)
-        dd1 = dd1 - g1 / mp.alpha1
-        dd2 = dd2 - g2 / mp.alpha2
-    return np.concatenate([state.dxi1, state.dxi2, dd1, dd2])
-
-
 def _coupling_kernel(mp: MassParams, kepler_only: bool = False):
     """The integrators' coupling on Python floats: coupling(x1, y1, z1, x2,
     y2, z2, p3) returns g_xi1 and g_xi2 as six floats, for xi1 = (x1, y1,
     z1), xi2 = (x2, y2, z2) and p3 = |xi2|^3; zeros with ``kepler_only``.
-    perturbation_gradients is its numpy reference."""
+    The tests check it against a numpy reference of the same gradients."""
     if kepler_only:
         return lambda *args: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     mu1, mu2 = mp.mu1, mp.mu2

@@ -39,7 +39,6 @@ from lunarbound.core import (
     energy_split,
     moment_of_inertia,
     perturbation,
-    perturbation_gradients,
 )
 from lunarbound.harness import (
     APPENDIX_H,

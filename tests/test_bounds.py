@@ -9,7 +9,7 @@ import pytest
 
 from lunarbound import bounds as bd
 from lunarbound import kepler as kp
-from lunarbound.core import JacobiState, MassParams, angular_momentum, energy_split, moment_of_inertia, perturbation, perturbation_gradients
+from lunarbound.core import JacobiState, MassParams, angular_momentum, energy_split, moment_of_inertia, perturbation
 from lunarbound.bounds import (
     ChainOverflowError,
     NoSplittingError,
@@ -21,11 +21,12 @@ from lunarbound.bounds import (
     i_star,
     i_star_star,
     marchal_comparison,
-    marchal_phi,
     region_constants,
     strip_and_main,
 )
 from lunarbound.harness import APPENDIX_H, APPENDIX_J, APPENDIX_MASSES, canonical_json
+
+from reference import marchal_phi, perturbation_gradients
 
 
 class TestEulerConfiguration:
@@ -587,6 +588,37 @@ class TestMarchalComparison:
                     assert f0 <= _phi_c(mpm, mu1, mu2, lam, c) <= f1
                     assert gl0 <= mpm.diff(lambda x: _phi_c(mpm, mu1, mu2, x, c), lam) <= gl1
                     assert gc0 <= mpm.diff(lambda x: _phi_c(mpm, mu1, mu2, lam, x), c) <= gc1
+
+    def test_point_probe_is_the_box_value_bit_for_bit(self, appendix_chain):
+        # the incumbent probes skip the gradient; their value must be the
+        # degenerate box's to the bit, or delta, delta_upper and boxes move
+        rng = np.random.default_rng(2020)
+        edge = math.nextafter(appendix_chain.marchal.lam_max, math.inf)
+        points = [(1.0 / 3.0, 1.0 / 3.0, lam, c) for lam in (0.0, edge) for c in (-1.0, 0.0, 1.0)]
+        for _ in range(3000):
+            mu1 = float(rng.uniform(0.05, 0.95))
+            mu2 = 1.0 - mu1 if rng.random() < 0.5 else float(rng.uniform(0.05, 0.95))
+            lam = float(rng.uniform(0.0, 0.5))
+            points.append((mu1, mu2, lam, float(rng.uniform(-1.0, 1.0))))
+            points.extend((mu1, mu2, L, c) for L in (0.0, lam) for c in (-1.0, 0.0, 1.0))
+        for mu1, mu2, lam, c in points:
+            assert bd._phi_point(mu1, mu2, lam, c) == bd._phi_box(mu1, mu2, lam, lam, c, c)[:2]
+
+    @pytest.mark.parametrize("masses, H, J, block", [
+        (APPENDIX_MASSES, APPENDIX_H, APPENDIX_J,
+         (0.9130752942537357, 0.9130752942544318, 103, 9.351058383075925)),
+        ((1.0, 1.0, 1.0), -0.5, 0.1,
+         (0.9130752942537357, 0.9130752942544318, 103, 16.747727841199833)),
+        ((1.0, 2.0, 3.0), -0.5, 0.1,
+         (0.9162354730332005, 0.9162354730336858, 73, 7668.6058900196085)),
+        ((0.5, 1.7, 2.0), -0.5, 0.1,
+         (0.9135930323495147, 0.9135930323501334, 75, 6162.648623173069)),
+    ])
+    def test_marchal_block_regression(self, masses, H, J, block):
+        # value-only probes must leave the incumbent, and so every figure of
+        # the branch-and-bound, exactly where the full enclosure put it
+        mc = i0(MassParams(*masses), H, J)[1].marchal
+        assert (mc.delta, mc.delta_upper, mc.boxes, mc.I_M) == block
 
     def test_point_enclosures_round_outward(self):
         # at a point the float result misses phi by about an ulp either

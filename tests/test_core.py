@@ -18,12 +18,11 @@ from lunarbound.core import (
     make_rhs,
     moment_of_inertia,
     perturbation,
-    perturbation_gradients,
     to_jacobi,
-    vector_field,
 )
 
 from conftest import coupling_term_sizes, random_jacobi_state
+from reference import perturbation_gradients, vector_field
 
 
 def reference_rhs(mp: MassParams, kepler_only: bool = False):

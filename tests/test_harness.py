@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +308,35 @@ class TestAppendixScenario:
 class TestCli:
     def run_cli(self, *args):
         return cli.main(list(args))
+
+    def test_shared_parser_keeps_no_state(self, tmp_path, capsys, monkeypatch):
+        # main reuses one parser; each call in a row must write the bytes a
+        # fresh process writes for it alone
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(canonical_json(appendix_cfg(count=2, seed=5).to_dict()))
+        calls = [
+            ["--masses", "1", "2", "3", "--H", "-0.5", "--J", "0.1", "bounds"],
+            ["--masses", "1", "2", "3", "--H", "-0.5", "--J", "0.1", "--bogus", "bounds"],
+            ["--help"],
+            ["--config", str(cfg), "sample"],
+            ["--masses", "0.5", "1.7", "2.0", "--H", "-0.5", "--J", "0.1", "--out", "{out}",
+             "bounds"],
+        ]
+        codes = []
+        for k, argv in enumerate(calls):
+            here = [a.format(out=tmp_path / f"here{k}") for a in argv]
+            fresh = [a.format(out=tmp_path / f"fresh{k}") for a in argv]
+            codes.append(cli.main(here))
+            got = capsys.readouterr()
+            ref = subprocess.run([sys.executable, "-m", "lunarbound.cli", *fresh],
+                                 capture_output=True, text=True, env=env)
+            assert (codes[-1], got.out, got.err) == (ref.returncode, ref.stdout, ref.stderr), argv
+        assert codes == [0, 2, 0, 0, 0]
+        written = tmp_path / "here4" / "bounds.json"
+        assert written.read_bytes() == (tmp_path / "fresh4" / "bounds.json").read_bytes()
 
     def test_appendix_exit_zero(self, capsys):
         assert self.run_cli("appendix", "--count", "2") == 0

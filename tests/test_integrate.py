@@ -12,7 +12,7 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
 from lunarbound import kepler as kp
 from lunarbound.core import (
     JacobiState, MassParams, angular_momentum, energy_split, flat_inertia, make_rhs,
-    moment_of_inertia, perturbation_gradients,
+    moment_of_inertia,
 )
 from lunarbound.integrate import (
     DOP853,
@@ -25,6 +25,7 @@ from lunarbound.integrate import (
 )
 
 from conftest import coupling_term_sizes, outer_pericenter_event
+from reference import perturbation_gradients
 
 
 def hierarchical_state(a1=0.3, rho=9.0, vr=-0.2, vt=0.15):
