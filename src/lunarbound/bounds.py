@@ -22,8 +22,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import MassParams
 from .roots import brentq
 
@@ -112,13 +110,33 @@ def _euler_quintic_root(mA: float, mB: float, mC: float) -> float:
     return brentq(p, 1e-12, hi, xtol=1e-15, rtol=8.881784197001252e-16, maxiter=200)
 
 
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once: Dekker's two-product splits a * b into the
+    float product and its exact error, and math.fsum rounds the exact sum
+    of the three."""
+    p = a * b
+    t = 134217729.0 * a  # 2^27 + 1: the Veltkamp split into 26-bit halves
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = 134217729.0 * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return math.fsum((p, err, c))
+
+
+def _dot3(a, b) -> float:
+    """The 3-term dot product as the fused chain fma(a2, b2, fma(a1, b1,
+    a0 * b0)), the evaluation the reported I* was first computed with."""
+    return _fma(a[2], b[2], _fma(a[1], b[1], a[0] * b[0]))
+
+
 def euler_configuration(mp: MassParams, middle: int) -> EulerConfig:
     """Collinear central configuration with the given mass in the middle.
 
     The quintic has a unique positive root, so the root-finder cannot
-    honestly fail.  Everything but the two 3-term dot products runs on
-    Python floats; the dots stay on numpy, whose evaluation order the
-    reported I* carries to the last bit.
+    honestly fail.  The two 3-term dot products are fused chains (_dot3),
+    whose rounding the reported I* carries to the last bit.
     """
     if middle not in (1, 2, 3):
         raise ValueError("middle must be 1, 2 or 3")
@@ -128,11 +146,11 @@ def euler_configuration(mp: MassParams, middle: int) -> EulerConfig:
     mA, mB, mC = (masses[i] for i in order)
     x = _euler_quintic_root(mA, mB, mC)
 
-    m_ord = np.array([mA, mB, mC])
-    com = float(m_ord @ np.array([0.0, 1.0, 1.0 + x])) / (mA + mB + mC)
-    p = np.array([0.0 - com, 1.0 - com, (1.0 + x) - com])
-    scale = 1.0 / math.sqrt(float(m_ord @ p**2))
-    pA, pB, pC = (float(v) * scale for v in p)
+    m_ord = (mA, mB, mC)
+    com = _dot3(m_ord, (0.0, 1.0, 1.0 + x)) / (mA + mB + mC)
+    p = (0.0 - com, 1.0 - com, (1.0 + x) - com)
+    scale = 1.0 / math.sqrt(_dot3(m_ord, [v * v for v in p]))
+    pA, pB, pC = (v * scale for v in p)
 
     r_ab = abs(pB - pA)
     r_bc = abs(pC - pB)

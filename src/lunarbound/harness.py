@@ -492,8 +492,7 @@ def _first_entry(state: JacobiState, mp: MassParams, bs: BoundSet, level: float,
     )
     try:
         traj = integrate(
-            state, mp, (0.0, sign * t_budget),
-            rtol=cfg.tol, atol=cfg.tol,
+            state, mp, (0.0, sign * t_budget), tol=cfg.tol,
             events=[ev], max_steps=cfg.max_steps, dense=False, regularize=cfg.regularize,
         )
     except IntegrationSingularityError as exc:
@@ -611,7 +610,7 @@ def _sandwich_sample(cfg: ScenarioConfig, bs: BoundSet, I_bar: float, I_hi: floa
     trajs = []
     for side, t1 in (("forward", horizon), ("backward", -horizon)):
         try:
-            trajs.append(integrate(state, mp, (0.0, t1), rtol=cfg.tol, atol=cfg.tol,
+            trajs.append(integrate(state, mp, (0.0, t1), tol=cfg.tol,
                                    events=[stop_ev], max_steps=cfg.max_steps))
         except IntegrationSingularityError as exc:
             return {"index": index, "I_initial": I_initial, "ok": False, "violations": 0,

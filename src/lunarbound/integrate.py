@@ -17,16 +17,16 @@ the KS stints of the regularized path in fictitious time, and any small
 ODE on lists of floats, such as the radial sandwich pair of osculate: one
 integration on two clocks.  A clock maps the solver's variable and state to
 physical time and the flat state; it is the identity except in a KS stint.
-Event functions take (t, y), with y the flat state (for the three-body
-field in JacobiState.as_vector layout), and are evaluated on the clock's
-state at the end of each accepted step.  A step keeps its stages only as a
-small packed block; the dense interpolant (three extra RHS stages) is built
-from it the first time a dense-output query or an event search reads the
-step.  The root of an event is bracketed and polished with Brent's method
-in the solver's own variable on that interpolant (in a KS stint that is
-the fictitious time s, in which a collision is a regular point), so event
-times are good to ~1e-12 relative; an Event keeps the flat state at its
-root.
+Event functions take (t, y), with y the flat state as a list of floats (for
+the three-body field in JacobiState.as_vector layout), and are evaluated on
+the clock's state at the end of each accepted step.  A step keeps its
+stages only as a small packed block; the dense interpolant (three extra RHS
+stages) is built from it the first time a dense-output query or an event
+search reads the step, and returns lists too.  The root of an event is
+bracketed and polished with Brent's method in the solver's own variable on
+that interpolant (in a KS stint that is the fictitious time s, in which a
+collision is a regular point), so event times are good to ~1e-12 relative;
+an Event keeps the flat state at its root.
 
 Collisions of the inner binary can be crossed by switching the short Jacobi
 vector to Kustaanheimo-Stiefel variables with the time rescaling dt = r ds
@@ -63,8 +63,7 @@ __all__ = [
     "integrate",
 ]
 
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-12
+DEFAULT_TOL = 1e-12  # relative and absolute
 DEFAULT_MAX_STEPS = 500_000
 
 # KS switch radius as a fraction of the binary's natural length beta1/|H|,
@@ -93,16 +92,16 @@ class IntegrationSingularityError(RuntimeError):
 class EventSpec:
     """Scalar event g(t, y) with a sign-change direction.
 
-    y is the flat state, for the three-body field in JacobiState.as_vector
-    layout [xi1, xi2, dxi1, dxi2]: a list of floats at step ends, a numpy
-    array on the dense output.  direction +1 fires on -> +, -1 on + -> -,
+    y is the flat state as a list of floats, for the three-body field in
+    JacobiState.as_vector layout [xi1, xi2, dxi1, dxi2], both at step ends
+    and on the dense output.  direction +1 fires on -> +, -1 on + -> -,
     0 on both.  Terminal events stop the integration at the root.  Names
     that start with "_", and "collision_regularized" in a KS stint, are the
     integrator's own.
     """
 
     name: str
-    func: Callable[[float, Sequence[float]], float]
+    func: Callable[[float, List[float]], float]
     direction: int = 0
     terminal: bool = False
     payload: dict = field(default_factory=dict)
@@ -308,8 +307,8 @@ def _attempt_for(n: int):
 def _build_for(n: int):
     """build(fun, t_old, t, block) for states of dimension n: evaluates the
     three extra stages on the packed block [y_old, K0, K5..K12] and returns
-    the step's Dop853Interpolant.  Its y_new is the attempt's, bit for
-    bit."""
+    y_old and the INTERPOLATOR_POWER rows of the step's interpolant, as
+    lists of floats.  Its y_new is the attempt's, bit for bit."""
     ys = ", ".join(f"y_{i}" for i in range(n))
     src = ["def build(fun, t_old, t, block):",
            f"    {ys}, {', '.join(_names(j, n) for j in _KEPT)} = block",
@@ -324,12 +323,12 @@ def _build_for(n: int):
                  + [f"h * {_lincomb(row, ks)}" for row in D])
     rows = ", ".join("[" + ", ".join(F[i][r] for i in range(n)) + "]"
                      for r in range(INTERPOLATOR_POWER))
-    src += [f"    return Dop853Interpolant(t_old, t, np.array([{ys}]), np.array([{rows}]))"]
+    src += [f"    return [{ys}], [{rows}]"]
     return _compiled("build", src, n)
 
 
 def _compiled(name, src, n):
-    namespace = {"Dop853Interpolant": Dop853Interpolant, "np": np}
+    namespace = {}
     exec(compile("\n".join(src), f"<DOP853 {name} n={n}>", "exec"), namespace)
     return namespace[name]
 
@@ -430,56 +429,26 @@ class DOP853:
         return _LazyDop853(_build_for(self.n), self.fun, self.t_old, self.t, array("d", block))
 
 
-class Dop853Interpolant:
-    """The 7th-order DOP853 interpolant over one step from t_old to t.
-
-    F holds its INTERPOLATOR_POWER rows (see _build_for).  The evaluation is
-    scipy's Dop853DenseOutput's, operation for operation, so values agree
-    with it bit for bit: with x = (t - t_old) / h, a Horner-like pass over
-    the rows in reverse that multiplies by x and 1 - x in turn, then
-    y_old added.  t is a scalar (returns shape (n,)) or a 1-D array
-    (returns shape (n, len(t))).
-    """
-
-    __slots__ = ("t_old", "t", "h", "y_old", "F")
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old, self.t, self.h, self.y_old, self.F = t_old, t, t - t_old, y_old, F
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t)
-        if t.ndim > 1:
-            raise ValueError("`t` must be a float or a 1-D array.")
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
-
-
 class _LazyDop853:
-    """The Dop853Interpolant of one step, built on its first call.
+    """The 7th-order DOP853 interpolant over one step from t_old to t, built
+    on its first call.
 
     Until then it holds only the step's packed float64 block [y_old, K0,
-    K5..K12] (10 rows); the build evaluates the three extra stages through
-    the solver's fun, then drops the block.  It is also the dense segment
-    of a physical-coordinate step (t_lo, t_hi, state_vector).
+    K5..K12] (10 rows); the build (see _build_for) evaluates the three extra
+    stages through the solver's fun, keeps y_old and the rows F as lists of
+    floats, and drops the block.  A call at a scalar t returns the state
+    there as a list, evaluated as scipy's Dop853DenseOutput evaluates it,
+    operation for operation, so bit for bit: with x = (t - t_old) / h, a
+    Horner-like pass over the rows in reverse that multiplies by x and
+    1 - x in turn, then y_old added.  It is also the dense segment of a
+    physical-coordinate step (t_lo, t_hi, state_vector).
     """
 
-    __slots__ = ("_build", "_fun", "t_old", "t", "_block", "_interp")
+    __slots__ = ("_build", "_fun", "t_old", "t", "_block", "y_old", "F")
 
     def __init__(self, build, fun, t_old, t, block):
         self._build, self._fun, self.t_old, self.t = build, fun, t_old, t
-        self._block, self._interp = block, None
+        self._block, self.y_old, self.F = block, None, None
 
     @property
     def t_lo(self) -> float:
@@ -489,12 +458,14 @@ class _LazyDop853:
     def t_hi(self) -> float:
         return max(self.t_old, self.t)
 
-    def __call__(self, t) -> np.ndarray:
-        interp = self._interp
-        if interp is None:
-            interp = self._interp = self._build(self._fun, self.t_old, self.t, self._block)
+    def __call__(self, t) -> list:
+        if self.F is None:
+            self.y_old, self.F = self._build(self._fun, self.t_old, self.t, self._block)
             self._block = None
-        return interp(t)
+        x = (t - self.t_old) / (self.t - self.t_old)
+        x1 = 1 - x
+        return [(((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1 + f0) * x
+                 + y0 for y0, f0, f1, f2, f3, f4, f5, f6 in zip(self.y_old, *self.F)]
 
     state_vector = __call__
 
@@ -524,10 +495,10 @@ class _KSSegment:
         self.t_hi = max(t_lo, t_hi)
 
     def point(self, s: float):
-        z = self.interp(s).tolist()
-        return z[_KS_T], np.array(_ks_to_cart(z))
+        z = self.interp(s)
+        return z[_KS_T], _ks_to_cart(z)
 
-    def state_vector(self, t: float) -> np.ndarray:
+    def state_vector(self, t: float) -> list:
         return self.point(self._s_of_t(t))[1]
 
     def _s_of_t(self, t: float) -> float:
@@ -551,7 +522,7 @@ class DenseSolution:
         self._ordered = sorted(segments, key=lambda s: s.t_lo)
         self._starts = [seg.t_lo for seg in self._ordered]
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t: float) -> list:
         if not self._ordered:
             raise ValueError("empty dense solution")
         idx = bisect.bisect_right(self._starts, t) - 1
@@ -727,7 +698,7 @@ def _locate_events(specs, crossed, s_prev, s_now, seg, t_now, y_now, events_out)
             root, ev = s_now, Event(t=t_now, kind=spec.name, payload=dict(spec.payload), y=y_now)
         else:
             t, y = seg.point(root)
-            ev = Event(t=t, kind=spec.name, payload=dict(spec.payload), y=y.tolist())
+            ev = Event(t=t, kind=spec.name, payload=dict(spec.payload), y=y)
         key = sgn * root  # travel order
         found.append((key, ev))
         if spec.terminal and key < stop_key:
@@ -743,8 +714,7 @@ def integrate(
     initial: JacobiState,
     mp: MassParams,
     span: Tuple[float, float],
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    tol: float = DEFAULT_TOL,
     events: Sequence[EventSpec] = (),
     max_steps: int = DEFAULT_MAX_STEPS,
     kepler_only: bool = False,
@@ -753,7 +723,8 @@ def integrate(
 ) -> Trajectory:
     """Adaptive integration of the full field over span = (t0, t1).
 
-    t1 < t0 integrates backward.  ``kepler_only`` switches off the coupling
+    t1 < t0 integrates backward.  ``tol`` is the stepper's relative and
+    absolute tolerance both.  ``kepler_only`` switches off the coupling
     (test hook).  ``dense=False`` keeps no interpolants: a step builds one
     only to localize an event that changes sign over it, and state_at()
     becomes unavailable.  The node arrays t and y are kept either way.
@@ -815,10 +786,9 @@ def integrate(
             status = "step_budget_exhausted"
             break
         if mode == "cart":
-            res = run_steps(rhs, y_now, t_now, t1, rtol, atol, cart_specs, max_steps - n_steps,
-                            dense)
+            res = run_steps(rhs, y_now, t_now, t1, tol, cart_specs, max_steps - n_steps, dense)
         else:
-            res = run_steps(ks_rhs, _ks_from_cart(y_now, mp, t_now), 0.0, math.inf, rtol, atol,
+            res = run_steps(ks_rhs, _ks_from_cart(y_now, mp, t_now), 0.0, math.inf, tol,
                             ks_specs, max_steps - n_steps, dense, clock)
         if res.status == "failed":
             raise IntegrationSingularityError(res.message, t=res.exit_t,
@@ -876,8 +846,7 @@ class _PhaseResult:
     message: str = ""
 
 
-def run_steps(fun, y_start, t_start, t1, rtol, atol, specs, budget, dense,
-              clock=None) -> _PhaseResult:
+def run_steps(fun, y_start, t_start, t1, tol, specs, budget, dense, clock=None) -> _PhaseResult:
     """DOP853 steps of y' = fun(s, y) from (t_start, y_start) toward t1 in
     the solver's own variable s, with fun and states on lists of floats.
 
@@ -894,7 +863,7 @@ def run_steps(fun, y_start, t_start, t1, rtol, atol, specs, budget, dense,
     ``budget`` steps are taken; a step size underflow ends the run with
     status "failed".
     """
-    solver = DOP853(fun, t_start, y_start, t1, rtol=rtol, atol=atol)
+    solver = DOP853(fun, t_start, y_start, t1, rtol=tol, atol=tol)
     t_prev, y_prev = (t_start, solver.y) if clock is None else clock(t_start, solver.y)
     ev_vals = [sp.func(t_prev, y_prev) for sp in specs]
     ts, ys, segments, events = array("d"), array("d"), [], []

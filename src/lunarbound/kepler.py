@@ -335,7 +335,12 @@ def _chi_seed(r0, rv, alpha, kappa, dt) -> float:
             arg = (-2.0 * kappa * alpha * dt) / denom
             if arg > 1.0:
                 return math.copysign(math.sqrt(am) * math.log(arg), dt)
-        guesses.append(math.copysign(math.sqrt(am), dt))
+        # sqrt(1/|alpha|) is where alpha chi^2 = -1; in the parabolic regime,
+        # where |alpha| chi^2 / 12 (the curvature term of c2) is below the
+        # solve's tolerance, it overshoots the root by orders of magnitude
+        chi = max(guesses, key=abs)
+        if -alpha * chi * chi >= 12.0 * _UKEPLER_TOL:
+            guesses.append(math.copysign(math.sqrt(am), dt))
     # smallest magnitude that is not absurdly small: the linear estimate
     # undershoots badly for long spans, the cubic overshoots short ones
     return max(guesses, key=abs) if abs(dt) * sqk > r0 else min(guesses, key=abs)

@@ -26,7 +26,7 @@ import numpy as np
 from . import kepler
 from .bounds import BoundSet
 from .core import JacobiState, MassParams, _float_rhs
-from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, DenseSolution, EventSpec, Trajectory, run_steps
+from .integrate import DEFAULT_TOL, DenseSolution, EventSpec, Trajectory, run_steps
 from .roots import brentq
 
 __all__ = [
@@ -99,9 +99,10 @@ def eta_bound(sp: SandwichParams, t) -> np.ndarray:
 class SandwichSolution:
     """Dense minorant/majorant radial solutions and their validity window.
 
-    monotone_ok is False when either solution dipped below the monotonicity
-    floor 3 c0^2/(2M) before the horizon; t_valid is the (absolute) time up
-    to which the comparison hypotheses held.
+    monotone_ok is False when the window ends before the horizon: either
+    solution fell to the level below which a hypothesis fails (see
+    sandwich_ode), or a step failed; t_valid is the (absolute) time up to
+    which the comparison hypotheses held.
     """
 
     t_valid: float
@@ -126,25 +127,28 @@ def sandwich_ode(
     """Integrate rho''_± = c0^2 rho^-3 - M rho^-2 ± a eps^4 from the true
     initial radius and radial speed, densely, out to the horizon.
 
-    The monotonicity hypothesis (rho_± above 3 c0^2/(2M)) is watched with a
-    terminal event; crossing it truncates the validity window and flags the
-    solution, and so does a step size failure, at the last accepted time.
+    The hypotheses hold while rho_± stays above max(3 c0^2/(2M), rho_bar):
+    the first is the monotonicity floor, and omega = k eps^3 is a Lipschitz
+    constant of the radial field only above rho_bar = 1/eps.  One terminal
+    event watches that level; crossing it truncates the validity window and
+    flags the solution, and so does a step size failure, at the last
+    accepted time.  A pair that starts at or below the level has t_valid 0.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
     f = sp.a * sp.epsilon**4
     c0sq = sp.c0**2
-    floor = 1.5 * c0sq / M
+    floor = max(1.5 * c0sq / M, 1.0 / sp.epsilon)
 
-    hit_floor = EventSpec(name="monotone_floor", func=lambda t, y: y[0] - floor,
+    hit_floor = EventSpec(name="hypotheses_floor", func=lambda t, y: y[0] - floor,
                           direction=-1, terminal=True)
-    t_valid = sp.time_horizon
-    monotone_ok = True
+    monotone_ok = rho0 > floor
+    t_valid = sp.time_horizon if monotone_ok else 0.0
     runs = []
     for sgn in (-1.0, +1.0):
         field = lambda y, g=sgn * f: [y[1], c0sq / y[0]**3 - M / y[0]**2 + g]
         res = run_steps(_float_rhs(field), [rho0, drho0], 0.0, direction * sp.time_horizon,
-                        DEFAULT_RTOL, DEFAULT_ATOL, [hit_floor], budget=math.inf, dense=True)
+                        DEFAULT_TOL, [hit_floor], budget=math.inf, dense=True)
         if res.status != "completed":
             monotone_ok = False
             t_valid = min(t_valid, abs(res.exit_t))

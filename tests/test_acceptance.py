@@ -208,7 +208,7 @@ class TestCriterion5:
             i_lo_factor=1.0, i_hi_factor=3.93,
         )
         st = sample_initial_conditions(cfg, bs)[0]
-        traj = integrate(st, cfg.mp, (0.0, 1000.0), rtol=1e-12, atol=1e-12, dense=False)
+        traj = integrate(st, cfg.mp, (0.0, 1000.0), tol=1e-12, dense=False)
         dh = float(np.abs(traj.h_resid).max())
         dj = float(np.abs(traj.j_resid).max())
         ok = report(

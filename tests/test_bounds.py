@@ -2,6 +2,7 @@
 strip constants, the final threshold, and the monotonicity-method comparison."""
 
 import math
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,21 @@ class TestEulerConfiguration:
         assert ec.u_hat == pytest.approx(expected, rel=1e-14)
         d = math.sqrt(1.5)
         assert sorted(np.round(ec.positions, 12)) == pytest.approx([-d, 0.0, d], abs=1e-12)
+
+    def test_dot_is_the_exactly_rounded_fused_chain(self, rng):
+        # _dot3 is fma(a2, b2, fma(a1, b1, a0 * b0)) with each fma rounded
+        # once, as exact rational arithmetic rounds it; a third of the cases
+        # cancel to a small fraction of the terms
+        def fma(a, b, c):
+            return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+        for k in range(3000):
+            a = (rng.uniform(0.05, 3.0, 3) if k % 2 else rng.normal(size=3)
+                 * 10.0 ** rng.integers(-8, 9, 3)).tolist()
+            b = (rng.normal(size=3) * 10.0 ** rng.integers(-8, 9, 3)).tolist()
+            if k % 3 == 0:
+                b[2] = -(a[0] * b[0] + a[1] * b[1]) / a[2] * (1.0 + 1e-12 * rng.normal())
+            assert bd._dot3(a, b) == fma(a[2], b[2], fma(a[1], b[1], a[0] * b[0])), (a, b)
 
     def test_equal_masses_all_orderings_agree(self, mp_equal):
         vals = [euler_configuration(mp_equal, k).u_hat for k in (1, 2, 3)]

@@ -16,9 +16,9 @@ from lunarbound.core import (
 )
 from lunarbound.integrate import (
     DOP853,
-    Dop853Interpolant,
     EventSpec,
     KS_SWITCH_FRACTION,
+    _LazyDop853,
     _attempt_for,
     IntegrationSingularityError,
     integrate,
@@ -92,7 +92,7 @@ class TestIntegrate:
             t = float(traj.t[i])
             left = traj.dense(np.nextafter(t, -np.inf))
             right = traj.dense(np.nextafter(t, np.inf))
-            assert np.abs(left - right).max() < 1e-9
+            assert max(abs(a - b) for a, b in zip(left, right)) < 1e-9
 
 
 def i_crossings(st, mp, span, level, **kw):
@@ -285,6 +285,30 @@ class TestRegularized:
         unreg = integrate(st, mp, span, max_steps=20000)
         drift_unreg = np.abs(unreg.h_resid).max() if unreg.complete else np.inf
         assert (not unreg.complete) or unreg.n_steps > 2 * reg.n_steps or drift_unreg > drift_reg
+
+    def test_event_functions_see_only_lists(self):
+        # step ends, the Brent polish on the dense output, and a KS stint
+        # (r_switch = 0.01 here): every call gets the flat state as a list
+        mp, st = two_body_collision_setup()
+        t_col = math.pi / math.sqrt(8.0)
+        seen = []
+
+        def typed(g):
+            def func(t, y):
+                seen.append(type(y))
+                return g(t, y)
+            return func
+
+        specs = [EventSpec("half", typed(lambda t, y: y[0] - 0.5), -1),
+                 EventSpec("in_stint", typed(lambda t, y: t - 1.000001 * t_col), 1)]
+        traj = integrate(st, mp, (0.0, 1.5), kepler_only=True, regularize=True, events=specs)
+        by_kind = {e.kind: e for e in traj.events}
+        assert sorted(e.kind for e in traj.events) == ["collision_regularized", "half", "in_stint"]
+        assert by_kind["in_stint"].state.r < 0.01
+        assert len(seen) > 2 * (traj.n_steps + 1)  # the polish calls too
+        assert set(seen) == {list}
+        assert all(type(e.y) is list for e in traj.events)
+        assert type(traj.dense(by_kind["in_stint"].t)) is list
 
     def test_backward_through_collision(self):
         mp, st = two_body_collision_setup()
@@ -676,11 +700,12 @@ class TestVendoredDop853:
 
     @staticmethod
     def assert_bitwise(ours, ref, t_old, t, ts):
-        for tq in list(ts) + [float(ts[0]), t_old, t]:
+        """ours, a _LazyDop853, returns lists equal to scipy's arrays bit for
+        bit at the scalar times ts, t_old and t."""
+        for tq in [float(tq) for tq in ts] + [t_old, t]:
             got, want = ours(tq), ref(tq)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        got, want = ours(ts), ref(ts)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_interpolant_bitwise_equal_to_scipy(self, rng, sign):
@@ -690,8 +715,12 @@ class TestVendoredDop853:
             t = t_old + sign * float(rng.uniform(1e-3, 2.0))
             y_old = rng.normal(size=n)
             F = rng.normal(size=(7, n)) * 10.0 ** rng.integers(-8, 3, size=(7, 1))
+            # a component at rest, as a planar state's z in backward time
+            # makes it: the signs of its zeros follow scipy's too
+            y_old[0] = F[:, 0] = -0.0
             ts = t_old + (t - t_old) * np.concatenate([[0.0, 1.0], rng.uniform(-0.1, 1.1, 9)])
-            self.assert_bitwise(Dop853Interpolant(t_old, t, y_old, F),
+            build = lambda fun, t_old, t, block: (y_old.tolist(), F.tolist())
+            self.assert_bitwise(_LazyDop853(build, None, t_old, t, None),
                                 Dop853DenseOutput(t_old, t, y_old, F), t_old, t, ts)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -703,8 +732,8 @@ class TestVendoredDop853:
                 solver.step()
             lazy = solver.dense_output()
             ts = np.linspace(solver.t_old, solver.t, 7)
-            lazy(ts[3])
-            built = lazy._interp
-            assert isinstance(built, Dop853Interpolant)
-            ref = Dop853DenseOutput(built.t_old, built.t, built.y_old, built.F)
+            lazy(float(ts[3]))
+            assert type(lazy.y_old) is list and len(lazy.F) == 7
+            assert all(type(row) is list for row in lazy.F)
+            ref = Dop853DenseOutput(lazy.t_old, lazy.t, np.array(lazy.y_old), np.array(lazy.F))
             self.assert_bitwise(lazy, ref, solver.t_old, solver.t, ts)

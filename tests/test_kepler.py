@@ -177,6 +177,24 @@ class TestPropagate:
         s2 = kp.propagate(s, t)
         assert float(mp_kepler_clock(s, s2.r) - mp_kepler_clock(s)) == pytest.approx(t, rel=1e-12)
 
+    def test_near_parabolic_hyperbola_seeded_in_the_parabolic_regime(self, monkeypatch):
+        # alpha = -3.6e-17: the hyperbolic seed sqrt(1/|alpha|) = 1.7e8 is
+        # not offered where |alpha| chi^2 is tiny, so the solve starts near
+        # the root (a median of 7 evaluations on generic propagations)
+        s = kp.TwoBodyState(xi=[74.60499418457249, -96.50796037102394, -231.3667492651786],
+                            dxi=[0.0318759909680895, -0.03563697279550638, -0.06433052867425795],
+                            kappa=0.8401740533208013)
+        calls = [0]
+        universal_f = kp._universal_f
+
+        def counting(*args):
+            calls[0] += 1
+            return universal_f(*args)
+
+        monkeypatch.setattr(kp, "_universal_f", counting)
+        kp.propagate(s, -2230.647904435789)
+        assert calls[0] <= 15
+
     def test_radial_collision_raises(self):
         s = kp.TwoBodyState(xi=[1, 0, 0], dxi=[0, 0, 0], kappa=1.0)
         t_col = math.pi / math.sqrt(8.0)

@@ -131,6 +131,16 @@ class TestSandwichOde:
         assert not sw.monotone_ok
         assert sw.t_valid < sp.time_horizon
 
+    def test_start_below_rho_bar_has_empty_window(self, sample_trajectories):
+        # omega is a Lipschitz constant only above rho_bar = 1/eps
+        mp, bs, I_bar, state, fwd, _ = sample_trajectories
+        el0, _ = osculating_orbit(fwd, 0.0)
+        sp = sandwich_params(bs, I_bar, el0.c, mp.M)
+        assert 1.5 * sp.c0**2 / mp.M < 0.9 / sp.epsilon
+        for rho0 in (0.9 / sp.epsilon, 1.0 / sp.epsilon):
+            sw = sandwich_ode(rho0, 0.0, sp, mp.M, direction=+1)
+            assert sw.t_valid == 0.0 and not sw.monotone_ok
+
     def test_eta_bound_chain_below_A1_eps(self, appendix_chain):
         # (2 a eps^4/omega)(cosh(sqrt(omega) t) - 1) <= (2 a eps/k)(2 + e^x)
         # <= A1 eps at the horizon, for the admissible range of c0
@@ -151,9 +161,9 @@ class TestSandwichOde:
 
 def solve_ivp_sandwich(rho0, drho0, sp, M, direction, forcing=None):
     """The comparison pair as scipy's solve_ivp(method="DOP853") integrates
-    it, with the same terminal floor event: {sign: OdeResult}."""
+    it, with the same terminal event at max(floor, rho_bar): {sign: OdeResult}."""
     f = sp.a * sp.epsilon**4 if forcing is None else forcing
-    floor = 1.5 * sp.c0**2 / M
+    floor = max(1.5 * sp.c0**2 / M, 1.0 / sp.epsilon)
 
     def rhs(t, y, sgn):
         return [y[1], sp.c0**2 / y[0]**3 - M / y[0]**2 + sgn * f]
@@ -203,10 +213,11 @@ class TestSandwichAgainstSolveIvp:
     @pytest.mark.parametrize("direction", [1, -1])
     def test_step_size_failure_truncates_without_raising(self, sample_trajectories, direction):
         # c0 = 0 makes the pair a radial fall into rho = 0, where the step
-        # size underflows before the floor (now 0) is crossed
+        # size underflows before the event level max(floor, 1/eps) (now
+        # 1e-30) is crossed
         mp, bs, I_bar, _, fwd, _ = sample_trajectories
         el0, _ = osculating_orbit(fwd, 0.0)
-        sp = dataclasses.replace(sandwich_params(bs, I_bar, el0.c, mp.M), c0=0.0)
+        sp = dataclasses.replace(sandwich_params(bs, I_bar, el0.c, mp.M), c0=0.0, epsilon=1e30)
         sw = sandwich_ode(1.0, 0.0, dataclasses.replace(sp, a=0.0), mp.M, direction=direction)
         ref = solve_ivp_sandwich(1.0, 0.0, sp, mp.M, direction, forcing=0.0)
         assert all(r.status == -1 and not r.t_events[0].size for r in ref.values())
