@@ -714,8 +714,8 @@ class BoundSet(StripConstants, DeviationConstants, RegionConstants):
     DeviationConstants and StripConstants, whose records compute_chain
     passes on whole; to_dict writes every field, renamed by _JSON_KEYS where
     the report key differs.  Also carries the level-dependent helpers:
-    rho_bar(I) and epsilon(I) for a query level, the strip ceiling
-    I_plus(I), and the strip ladder strip(s).  i0 is the minimized R_lambda
+    rho_bar(I) and epsilon(I) for a query level, and the strip ceiling
+    I_plus(I).  i0 is the minimized R_lambda
     for this far body.
     """
 
@@ -757,13 +757,6 @@ class BoundSet(StripConstants, DeviationConstants, RegionConstants):
         """Strip ceiling 4 (I_bar - alpha1 c_r^2), far body last."""
         mp = self.far_mp
         return 4.0 * (I_bar - mp.alpha1 * self.c_r**2)
-
-    def strip(self, s: float):
-        """(I_s, I_s^+) for the ladder I_s = R_bar_lambda + s, s >= 0."""
-        if s < 0.0:
-            raise ValueError("s must be nonnegative")
-        I_s = self.R_bar_lambda + s
-        return I_s, self.i_plus(I_s)
 
     def to_dict(self) -> dict:
         return {_JSON_KEYS.get(k, k): v for k, v in asdict(self).items()}

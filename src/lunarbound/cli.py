@@ -115,7 +115,7 @@ def _cmd_simulate(args) -> int:
     if not 0 <= args.index < cfg.count:
         raise UsageError(f"--index must lie in [0, {cfg.count}), got {args.index}")
     (st,) = sample_initial_conditions(cfg, indices=[args.index])
-    traj = integrate(st, cfg.far_mp, (0.0, args.t1), tol=cfg.tol,
+    traj = integrate(st, cfg.far_mp, (0.0, args.t1), tol=cfg.tol, max_steps=cfg.max_steps,
                      dense=False, regularize=cfg.regularize)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

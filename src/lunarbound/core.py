@@ -32,6 +32,8 @@ __all__ = [
     "energy_split",
     "perturbation",
     "flat_inertia",
+    "flat_angular_momentum",
+    "flat_energy",
     "make_rhs",
 ]
 
@@ -216,14 +218,15 @@ def moment_of_inertia(state, mp: MassParams) -> float:
     the form event functions receive.
     """
     if isinstance(state, JacobiState):
-        return mp.alpha1 * float(state.xi1 @ state.xi1) + mp.alpha2 * float(state.xi2 @ state.xi2)
+        state = state.as_vector().tolist()
     return float(flat_inertia(mp)(state))
 
 
 def flat_inertia(mp: MassParams):
     """I(y) on a flat state vector y (as_vector layout), with the mass
-    factors read once: the form for event functions, which run at every
-    step end."""
+    factors read once: the one formula for I.  Event functions call it at
+    every step end; on the rows of a node array's transpose it gives I at
+    every node, as numpy's row sums of squares would."""
     a1, a2 = mp.alpha1, mp.alpha2
 
     def inertia(y):
@@ -234,33 +237,32 @@ def flat_inertia(mp: MassParams):
 
 
 def angular_momentum(state: JacobiState, mp: MassParams):
-    """Total angular momentum and its inner/outer split (J, J1, J2)."""
-    J1 = mp.alpha1 * np.cross(state.xi1, state.dxi1)
-    J2 = mp.alpha2 * np.cross(state.xi2, state.dxi2)
-    return J1 + J2, J1, J2
+    """Total angular momentum and its inner/outer split (J, J1, J2), as
+    numpy 3-vectors."""
+    return tuple(np.array(v) for v in flat_angular_momentum(mp)(state.as_vector().tolist()))
 
 
-def _interaction_terms(state: JacobiState, mp: MassParams):
-    """Shared geometry for the coupling term and its gradients."""
-    u = state.xi2 + mp.mu2 * state.xi1
-    w = state.xi2 - mp.mu1 * state.xi1
-    nu = float(np.linalg.norm(u))
-    nw = float(np.linalg.norm(w))
-    rho = state.rho
-    if nu == 0.0 or nw == 0.0 or rho == 0.0:
-        raise SingularConfigurationError(
-            "far body coincides with a binary member or with the binary barycenter"
-        )
-    return u, w, nu, nw, rho
+def flat_angular_momentum(mp: MassParams):
+    """(J, J1, J2) on a flat state y, as 3-tuples of floats: the one formula
+    for J = J1 + J2, with J1 = alpha1 xi1 x xi1' and J2 = alpha2 xi2 x xi2'."""
+    a1, a2 = mp.alpha1, mp.alpha2
+
+    def angmom(y):
+        x1, y1, z1, x2, y2, z2, vx1, vy1, vz1, vx2, vy2, vz2 = y
+        J1 = (a1 * (y1 * vz1 - z1 * vy1), a1 * (z1 * vx1 - x1 * vz1), a1 * (x1 * vy1 - y1 * vx1))
+        J2 = (a2 * (y2 * vz2 - z2 * vy2), a2 * (z2 * vx2 - x2 * vz2), a2 * (x2 * vy2 - y2 * vx2))
+        return (J1[0] + J2[0], J1[1] + J2[1], J1[2] + J2[2]), J1, J2
+
+    return angmom
 
 
 def perturbation(state: JacobiState, mp: MassParams) -> float:
-    """The coupling g = beta2/rho - m1 m3/|q3-q1| - m2 m3/|q3-q2|.
+    """The coupling g = beta2/rho - m1 m3/|q3-q1| - m2 m3/|q3-q2|, read off
+    energy_split, so it requires r > 0 too.
 
     Vanishes to second order as the binary shrinks onto its barycenter.
     """
-    u, w, nu, nw, rho = _interaction_terms(state, mp)
-    return mp.beta2 / rho - mp.m1 * mp.m3 / nu - mp.m2 * mp.m3 / nw
+    return energy_split(state, mp)[3]
 
 
 def energy_split(state: JacobiState, mp: MassParams):
@@ -268,13 +270,38 @@ def energy_split(state: JacobiState, mp: MassParams):
 
     Requires r > 0 and a non-degenerate outer configuration.
     """
-    r = state.r
-    if r == 0.0:
-        raise SingularConfigurationError("binary collision: r = 0")
-    g = perturbation(state, mp)
-    H1 = 0.5 * mp.alpha1 * float(state.dxi1 @ state.dxi1) - mp.beta1 / r
-    H2 = 0.5 * mp.alpha2 * float(state.dxi2 @ state.dxi2) - mp.beta2 / state.rho
-    return H1 + H2 + g, H1, H2, g
+    return flat_energy(mp)(state.as_vector().tolist())
+
+
+def flat_energy(mp: MassParams):
+    """(H, H1, H2, g) on a flat state y: the one formula for H and for the
+    coupling g, whose distances |u| and |w| are the far body's from the two
+    binary members.  Raises SingularConfigurationError at r = 0 and where
+    the far body sits on a binary member or on the binary's barycenter."""
+    a1, a2 = mp.alpha1, mp.alpha2
+    beta1, beta2 = mp.beta1, mp.beta2
+    mu1, mu2 = mp.mu1, mp.mu2
+    m13, m23 = mp.m1 * mp.m3, mp.m2 * mp.m3
+
+    def energy(y):
+        x1, y1, z1, x2, y2, z2, vx1, vy1, vz1, vx2, vy2, vz2 = y
+        ux, uy, uz = x2 + mu2 * x1, y2 + mu2 * y1, z2 + mu2 * z1
+        wx, wy, wz = x2 - mu1 * x1, y2 - mu1 * y1, z2 - mu1 * z1
+        r = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+        rho = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
+        nu = math.sqrt(ux * ux + uy * uy + uz * uz)
+        nw = math.sqrt(wx * wx + wy * wy + wz * wz)
+        if r == 0.0:
+            raise SingularConfigurationError("binary collision: r = 0")
+        if nu == 0.0 or nw == 0.0 or rho == 0.0:
+            raise SingularConfigurationError(
+                "far body coincides with a binary member or with the binary barycenter")
+        g = beta2 / rho - m13 / nu - m23 / nw
+        H1 = 0.5 * a1 * (vx1 * vx1 + vy1 * vy1 + vz1 * vz1) - beta1 / r
+        H2 = 0.5 * a2 * (vx2 * vx2 + vy2 * vy2 + vz2 * vz2) - beta2 / rho
+        return H1 + H2 + g, H1, H2, g
+
+    return energy
 
 
 def _coupling_kernel(mp: MassParams, kepler_only: bool = False):

@@ -345,7 +345,8 @@ def _sample_one(cfg: ScenarioConfig, bs: BoundSet, I_lo: float, I_hi: float, ind
     for _ in range(64):
         xi1, dxi1 = _inner_state(rng, mp, cfg, bs.c_r)
         r = float(np.linalg.norm(xi1))
-        J1 = mp.alpha1 * np.cross(xi1, dxi1)
+        zero = np.zeros(3)
+        _, J1, _ = angular_momentum(JacobiState(xi1=xi1, dxi1=dxi1, xi2=zero, dxi2=zero), mp)
         J2_req = J_vec - J1
         J2_mag = float(np.linalg.norm(J2_req))
 
@@ -377,7 +378,7 @@ def _sample_one(cfg: ScenarioConfig, bs: BoundSet, I_lo: float, I_hi: float, ind
         t_hat = np.cross(n_hat, rho_hat)
         xi2 = rho0 * rho_hat
 
-        probe = JacobiState(xi1=xi1, dxi1=dxi1, xi2=xi2, dxi2=np.zeros(3))
+        probe = JacobiState(xi1=xi1, dxi1=dxi1, xi2=xi2, dxi2=zero)
         _, H1, _, g = energy_split(probe, mp)
         H2_req = cfg.H - H1 - g
         v2_sq = 2.0 * (H2_req + mp.beta2 / rho0) / mp.alpha2
@@ -610,8 +611,8 @@ def _sandwich_sample(cfg: ScenarioConfig, bs: BoundSet, I_bar: float, I_hi: floa
     trajs = []
     for side, t1 in (("forward", horizon), ("backward", -horizon)):
         try:
-            trajs.append(integrate(state, mp, (0.0, t1), tol=cfg.tol,
-                                   events=[stop_ev], max_steps=cfg.max_steps))
+            trajs.append(integrate(state, mp, (0.0, t1), tol=cfg.tol, events=[stop_ev],
+                                   max_steps=cfg.max_steps, regularize=cfg.regularize))
         except IntegrationSingularityError as exc:
             return {"index": index, "I_initial": I_initial, "ok": False, "violations": 0,
                     "status": "failed", "side": side, "n_steps": exc.n_steps}

@@ -49,8 +49,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    JacobiState, MassParams, _coupling_kernel, _float_rhs, angular_momentum, energy_split, make_rhs,
-    moment_of_inertia,
+    JacobiState, MassParams, _coupling_kernel, _float_rhs, angular_momentum, energy_split,
+    flat_angular_momentum, flat_energy, flat_inertia, make_rhs, moment_of_inertia,
 )
 from .roots import brentq
 
@@ -542,9 +542,9 @@ class Trajectory:
 
     t is the strictly monotone grid of accepted steps; y holds the flat
     states at those times.  h_resid and j_resid are relative drifts of the
-    energy and angular momentum magnitude against their initial values,
-    computed from the node arrays on first read.  complete is False when a
-    step or time budget cut the run short.
+    energy and angular momentum magnitude against their values h0 and j0 at
+    node 0, computed at each node by core's formulas on first read.
+    complete is False when a step or time budget cut the run short.
     """
 
     mp: MassParams
@@ -560,21 +560,14 @@ class Trajectory:
 
     @cached_property
     def h_resid(self) -> np.ndarray:
-        mp = self.mp
-        xi1, xi2, dxi1, dxi2 = self.y[:, 0:3], self.y[:, 3:6], self.y[:, 6:9], self.y[:, 9:12]
-        rho = _norms(xi2)
-        H1 = 0.5 * mp.alpha1 * _sq_norms(dxi1) - mp.beta1 / _norms(xi1)
-        H2 = 0.5 * mp.alpha2 * _sq_norms(dxi2) - mp.beta2 / rho
-        g = (mp.beta2 / rho - mp.m1 * mp.m3 / _norms(xi2 + mp.mu2 * xi1)
-             - mp.m2 * mp.m3 / _norms(xi2 - mp.mu1 * xi1))
-        return (H1 + H2 + g - self.h0) / max(abs(self.h0), 1e-300)
+        energy = flat_energy(self.mp)
+        scale = max(abs(self.h0), 1e-300)
+        return np.array([(energy(y)[0] - self.h0) / scale for y in self.y.tolist()])
 
     @cached_property
     def j_resid(self) -> np.ndarray:
-        mp = self.mp
-        y = self.y
-        J = mp.alpha1 * np.cross(y[:, 0:3], y[:, 6:9]) + mp.alpha2 * np.cross(y[:, 3:6], y[:, 9:12])
-        j = _norms(J)
+        angmom = flat_angular_momentum(self.mp)
+        j = np.array([math.hypot(*angmom(y)[0]) for y in self.y.tolist()])
         # absolute drift when the momentum level is zero, relative otherwise
         return (j - self.j0) / self.j0 if self.j0 > 0.0 else (j - self.j0)
 
@@ -595,10 +588,7 @@ class Trajectory:
         return moment_of_inertia(self.state_at(t), self.mp)
 
     def inertia_nodes(self) -> np.ndarray:
-        a1, a2 = self.mp.alpha1, self.mp.alpha2
-        r2 = np.sum(self.y[:, 0:3] ** 2, axis=1)
-        p2 = np.sum(self.y[:, 3:6] ** 2, axis=1)
-        return a1 * r2 + a2 * p2
+        return flat_inertia(self.mp)(self.y.T)
 
     def rho_nodes(self) -> np.ndarray:
         return np.sqrt(np.sum(self.y[:, 3:6] ** 2, axis=1))
@@ -638,14 +628,6 @@ class Trajectory:
                 fh.write(f"{format(ev.t, '.17g')},{ev.kind},{payload}\n")
 
 
-def _sq_norms(a: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, a)
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_sq_norms(a))
-
-
 # ---------------------------------------------------------------------------
 # Events at step ends, localized on the step's dense segment
 
@@ -670,8 +652,8 @@ def _sign_changes(specs, ev_vals, t_now, y_now) -> List[int]:
 def _locate_events(specs, crossed, s_prev, s_now, seg, t_now, y_now, events_out) -> Optional[Event]:
     """Polish each crossed event's root in the solver's variable s over the
     step [s_prev, s_now], on the step's dense segment, whose point(s) gives
-    the clock's (t, flat state).  Append to events_out the events up to the
-    earliest terminal one (in travel order) and return that one, or None.
+    the clock's (t, flat state).  Append to events_out, in travel order, the
+    events up to the earliest terminal one and return that one, or None.
     (t_now, y_now) is the clock's step end."""
     found = []
     stop, stop_key = None, math.inf
@@ -703,6 +685,7 @@ def _locate_events(specs, crossed, s_prev, s_now, seg, t_now, y_now, events_out)
         found.append((key, ev))
         if spec.terminal and key < stop_key:
             stop, stop_key = ev, key
+    found.sort(key=lambda kv: kv[0])
     events_out.extend(ev for key, ev in found if key <= stop_key)
     return stop
 
@@ -750,7 +733,7 @@ def integrate(
         raise ValueError("empty time span")
     h0, _, _, _ = energy_split(initial, mp)
     J0, _, _ = angular_momentum(initial, mp)
-    j0 = float(np.linalg.norm(J0))
+    j0 = math.hypot(*J0)
     specs = list(events)
     cart_specs = specs
     if regularize:

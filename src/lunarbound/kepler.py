@@ -34,7 +34,6 @@ __all__ = [
     "radial_fall_time",
     "lambert_time_of_flight",
     "pericenter_distance_bound",
-    "period",
     "stumpff_c", "stumpff_s",
 ]
 
@@ -125,14 +124,6 @@ def elements_from_state(s: TwoBodyState) -> KeplerElements:
     c_vec = np.cross(s.xi, s.dxi)
     e_vec = np.cross(s.dxi, c_vec) / s.kappa - s.xi / r
     return KeplerElements(kappa=s.kappa, h=h, c_vec=c_vec, e_vec=e_vec)
-
-
-def period(el: KeplerElements) -> float:
-    """Orbital period for bound orbits (inf otherwise)."""
-    if el.h >= 0.0:
-        return math.inf
-    a = el.a
-    return 2.0 * math.pi * math.sqrt(a**3 / el.kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Numpy reference formulas the tests check the program's float kernels
-against.  The program itself runs none of them."""
+against, and the closed forms only tests read (the strip ladder, the
+Kepler period).  The program itself runs none of them."""
+
+import math
 
 import numpy as np
 
-from lunarbound.core import JacobiState, MassParams, SingularConfigurationError, _interaction_terms
+from lunarbound.bounds import BoundSet
+from lunarbound.core import JacobiState, MassParams, SingularConfigurationError
+from lunarbound.kepler import KeplerElements
 
 
 def perturbation_gradients(state: JacobiState, mp: MassParams):
@@ -12,7 +17,11 @@ def perturbation_gradients(state: JacobiState, mp: MassParams):
     The dipole contributions cancel, which is why |g_xi2| = O(r^2/rho^4);
     finite differences are used as the oracle for these in the tests.
     """
-    u, w, nu, nw, rho = _interaction_terms(state, mp)
+    u = state.xi2 + mp.mu2 * state.xi1
+    w = state.xi2 - mp.mu1 * state.xi1
+    nu, nw, rho = np.linalg.norm(u), np.linalg.norm(w), state.rho
+    if nu == 0.0 or nw == 0.0 or rho == 0.0:
+        raise SingularConfigurationError("far body on a binary member or on the barycenter")
     m13 = mp.m1 * mp.m3
     m23 = mp.m2 * mp.m3
     gu = u / nu**3
@@ -52,3 +61,18 @@ def marchal_phi(mp: MassParams, lam, gamma):
     t1 = mu1 * (1.0 + mu2 * cg * lam) / (1.0 + 2.0 * mu2 * cg * lam + (mu2 * lam) ** 2) ** 1.5
     t2 = mu2 * (1.0 - mu1 * cg * lam) / (1.0 - 2.0 * mu1 * cg * lam + (mu1 * lam) ** 2) ** 1.5
     return t1 + t2
+
+
+def strip(bs: BoundSet, s: float):
+    """(I_s, I_s^+) for the strip ladder I_s = R_bar_lambda + s, s >= 0."""
+    if s < 0.0:
+        raise ValueError("s must be nonnegative")
+    I_s = bs.R_bar_lambda + s
+    return I_s, bs.i_plus(I_s)
+
+
+def period(el: KeplerElements) -> float:
+    """Orbital period for bound orbits (inf otherwise)."""
+    if el.h >= 0.0:
+        return math.inf
+    return 2.0 * math.pi * math.sqrt(el.a**3 / el.kappa)

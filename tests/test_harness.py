@@ -506,6 +506,15 @@ class TestCli:
         assert (out_dir / "trajectory.csv").exists()
         assert (out_dir / "events.csv").exists()
 
+    def test_simulate_keeps_the_step_budget(self, tmp_path, capsys):
+        cfg = appendix_cfg(count=1, seed=4, level=18.0, max_steps=50)
+        p = tmp_path / "cfg.json"
+        p.write_text(canonical_json(cfg.to_dict()))
+        out_dir = tmp_path / "sim"
+        code = self.run_cli("--config", str(p), "--out", str(out_dir), "simulate", "--t1", "5.0")
+        assert code == 0
+        assert "(51 nodes, status step_budget_exhausted)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("index", ["2", "-1"])
     def test_simulate_index_out_of_range_exit_two(self, tmp_path, capsys, index):
         cfg = appendix_cfg(count=2, seed=4, level=18.0)
@@ -570,6 +579,15 @@ class TestCli:
         d = report["samples"][2]["backward"]
         assert d["entered"] is False and d["t_entry"] is None
         assert d["n_steps"] > 0 and d["min_I"] > report["level"]
+
+    def test_regularized_sandwich_sample_passes_the_collision(self):
+        # with regularize set, the side that fails above passes its inner
+        # collisions in KS stints, and the sample is ok
+        cfg = ScenarioConfig.from_dict({**SINGULAR, "regularize": True})
+        bs = compute_chain(cfg.mp, cfg.H, cfg.J_mag)
+        I_bar = bs.R_bar
+        res = harness._sandwich_sample(cfg, bs, I_bar, bs.i_plus(I_bar), bs.horizon(I_bar), 2)
+        assert "status" not in res and res["ok"] and res["violations"] == 0
 
     def test_singular_sandwich_side_is_reported_per_sample(self, tmp_path, monkeypatch, capsys):
         # the same sample 2 in the deviation batch: its backward side fails,

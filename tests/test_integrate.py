@@ -11,7 +11,7 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
 
 from lunarbound import kepler as kp
 from lunarbound.core import (
-    JacobiState, MassParams, angular_momentum, energy_split, flat_inertia, make_rhs,
+    JacobiState, MassParams, energy_split, flat_inertia, make_rhs,
     moment_of_inertia,
 )
 from lunarbound.integrate import (
@@ -303,12 +303,27 @@ class TestRegularized:
                  EventSpec("in_stint", typed(lambda t, y: t - 1.000001 * t_col), 1)]
         traj = integrate(st, mp, (0.0, 1.5), kepler_only=True, regularize=True, events=specs)
         by_kind = {e.kind: e for e in traj.events}
-        assert sorted(e.kind for e in traj.events) == ["collision_regularized", "half", "in_stint"]
+        assert [e.kind for e in traj.events] == ["half", "collision_regularized", "in_stint"]
         assert by_kind["in_stint"].state.r < 0.01
         assert len(seen) > 2 * (traj.n_steps + 1)  # the polish calls too
         assert set(seen) == {list}
         assert all(type(e.y) is list for e in traj.events)
         assert type(traj.dense(by_kind["in_stint"].t)) is list
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_events_of_one_step_in_travel_order(self, sign):
+        # an event just past the collision falls in the KS step of the
+        # collision itself; the two are listed as the run meets them
+        mp, st = two_body_collision_setup()
+        t_col = sign * math.pi / math.sqrt(8.0)
+        spec = EventSpec("in_stint", lambda t, y: sign * (t - 1.000001 * t_col), 1)
+        traj = integrate(st, mp, (0.0, 1.5 * t_col), kepler_only=True, regularize=True,
+                         events=[spec])
+        col, late = traj.events
+        assert (col.kind, late.kind) == ("collision_regularized", "in_stint")
+        assert sign * (late.t - col.t) > 0.0
+        ts = sign * traj.t
+        assert np.searchsorted(ts, sign * col.t) == np.searchsorted(ts, sign * late.t)
 
     def test_backward_through_collision(self):
         mp, st = two_body_collision_setup()
@@ -430,19 +445,14 @@ class TestLeanStepLoop:
         # in and one the radial minimum; the other KS steps make none
         assert made[0] == 2 * len(cols)
 
-    def test_vectorized_residuals_match_node_loop(self):
+    def test_nodes_read_the_core_formulas(self):
+        # I, H and J at the nodes are core's flat formulas: I at every node
+        # bit for bit, and both residuals exactly 0 at node 0
         mp, st = hierarchical_state(vr=-0.25, vt=0.1)
         traj = integrate(st, mp, (0.0, 60.0), dense=False)
-        h = np.empty(len(traj.t))
-        j = np.empty(len(traj.t))
-        for i, row in enumerate(traj.y):
-            node = JacobiState.from_vector(row)
-            h[i] = energy_split(node, mp)[0]
-            j[i] = float(np.linalg.norm(angular_momentum(node, mp)[0]))
-        h_ref = (h - traj.h0) / abs(traj.h0)
-        j_ref = (j - traj.j0) / traj.j0
-        assert np.abs(traj.h_resid - h_ref).max() <= 1e-13
-        assert np.abs(traj.j_resid - j_ref).max() <= 1e-13
+        inertia = flat_inertia(mp)
+        assert traj.inertia_nodes().tolist() == [inertia(y) for y in traj.y.tolist()]
+        assert traj.h_resid[0] == 0.0 and traj.j_resid[0] == 0.0
 
 
 class TestTrajectoryExport:

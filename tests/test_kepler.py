@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from lunarbound import kepler as kp
 
 from conftest import kepler_state, mp_kepler_clock
+from reference import period
 
 
 def elliptic_state(a, e, kappa, E, incl=0.0):
@@ -97,14 +98,14 @@ class TestPropagate:
         for _ in range(10):
             s = random_bound_state(rng)
             el = kp.elements_from_state(s)
-            s2 = kp.propagate(s, kp.period(el))
+            s2 = kp.propagate(s, period(el))
             assert np.abs(s2.xi - s.xi).max() < 1e-10 * max(1.0, s.r)
 
     def test_conservation_long_span(self, rng):
         for _ in range(5):
             s = random_bound_state(rng)
             el = kp.elements_from_state(s)
-            T = kp.period(el)
+            T = period(el)
             s2 = kp.propagate(s, 1e4 * T * rng.uniform(0.9, 1.1))
             el2 = kp.elements_from_state(s2)
             assert el2.h == pytest.approx(el.h, rel=1e-12)
@@ -257,7 +258,7 @@ class TestTimeToPericenter:
             s = random_bound_state(rng)
             el = kp.elements_from_state(s)
             t, _ = kp.time_to_pericenter(s)
-            assert t <= 0.5 * kp.period(el) * (1 + 1e-12)
+            assert t <= 0.5 * period(el) * (1 + 1e-12)
 
     @pytest.mark.parametrize("vx, direction", [(-1.0, +1), (1.0, -1)])
     def test_parabolic_barker(self, vx, direction):
