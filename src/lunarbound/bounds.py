@@ -13,10 +13,14 @@ weakest links (the region bounds, which the literature usually leaves
 implicit) are validated by large sampling sweeps in the test suite.
 
 The chain is deterministic: identical inputs give bit-identical outputs.
+Its two stages that read the masses alone, the collinear configurations and
+Marchal's delta, are memoized on the exact floats they read, so a chain
+served from the memo is the chain computed afresh, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import asdict, dataclass
@@ -68,6 +72,27 @@ class ChainOverflowError(OverflowError):
     def __init__(self, name: str, detail: str):
         super().__init__(f"{name} overflows a double: {detail}")
         self.name = name
+
+
+def _in_double_range(stage):
+    """Decorator: a division by zero or a float overflow inside the stage
+    is raised as ChainOverflowError naming the stage.  Extreme masses or
+    levels push an intermediate (rho^3, c_J2^4, a position difference) past
+    the double range; no constant is reported in place of it."""
+
+    def wrap(f):
+        @functools.wraps(f)
+        def checked(*args, **kwargs):
+            try:
+                return f(*args, **kwargs)
+            except ChainOverflowError:
+                raise
+            except ZeroDivisionError as exc:
+                raise ChainOverflowError(stage, "a divisor rounds to zero") from exc
+            except OverflowError as exc:
+                raise ChainOverflowError(stage, "an intermediate exceeds the double range") from exc
+        return checked
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +156,20 @@ def _dot3(a, b) -> float:
     return _fma(a[2], b[2], _fma(a[1], b[1], a[0] * b[0]))
 
 
-def euler_configuration(mp: MassParams, middle: int) -> EulerConfig:
-    """Collinear central configuration with the given mass in the middle.
+@functools.lru_cache(maxsize=32)
+@_in_double_range("euler_configuration")
+def _collinear_line(mA: float, mB: float, mC: float):
+    """Line positions (pA, pB, pC) and potential value u_hat of the
+    collinear central configuration of masses (mA, mB, mC) in line order,
+    centered and normalized to I = 1.
 
     The quintic has a unique positive root, so the root-finder cannot
     honestly fail.  The two 3-term dot products are fused chains (_dot3),
-    whose rounding the reported I* carries to the last bit.
+    whose rounding the reported I* carries to the last bit.  Memoized on the
+    exact masses: each ordered triple is solved once per process while it
+    stays among the 32 most recent.
     """
-    if middle not in (1, 2, 3):
-        raise ValueError("middle must be 1, 2 or 3")
-    masses = mp.masses()
-    outer = [i for i in range(3) if i != middle - 1]
-    order = [outer[0], middle - 1, outer[1]]
-    mA, mB, mC = (masses[i] for i in order)
     x = _euler_quintic_root(mA, mB, mC)
-
     m_ord = (mA, mB, mC)
     com = _dot3(m_ord, (0.0, 1.0, 1.0 + x)) / (mA + mB + mC)
     p = (0.0 - com, 1.0 - com, (1.0 + x) - com)
@@ -156,9 +180,20 @@ def euler_configuration(mp: MassParams, middle: int) -> EulerConfig:
     r_bc = abs(pC - pB)
     r_ac = abs(pC - pA)
     u_hat = mA * mB / r_ab + mB * mC / r_bc + mA * mC / r_ac
+    return (pA, pB, pC), u_hat
 
+
+def euler_configuration(mp: MassParams, middle: int) -> EulerConfig:
+    """Collinear central configuration with the given mass in the middle:
+    _collinear_line's positions, handed to the bodies in line order."""
+    if middle not in (1, 2, 3):
+        raise ValueError("middle must be 1, 2 or 3")
+    masses = mp.masses()
+    outer = [i for i in range(3) if i != middle - 1]
+    order = [outer[0], middle - 1, outer[1]]
+    line, u_hat = _collinear_line(*(masses[i] for i in order))
     positions = [0.0, 0.0, 0.0]
-    for body, pos in zip(order, (pA, pB, pC)):
+    for body, pos in zip(order, line):
         positions[body] = pos
     return EulerConfig(middle=middle, positions=tuple(positions), u_hat=u_hat)
 
@@ -226,6 +261,7 @@ def _taylor_constants(mp: MassParams, sigma: float):
     return c_g, c_g2
 
 
+@_in_double_range("region_constants")
 def region_constants(mp: MassParams, H: float, J: float) -> RegionConstants:
     """Explicit region bounds, plus the enforced threshold that makes them
     hold pointwise.
@@ -288,6 +324,7 @@ def region_constants(mp: MassParams, H: float, J: float) -> RegionConstants:
     )
 
 
+@_in_double_range("i_star_star")
 def i_star_star(rc: RegionConstants, mp: MassParams) -> float:
     """Osculating-pericenter threshold max{I*, alpha1 c_r^2 + alpha2 c_J2^4/M^2}.
 
@@ -320,6 +357,7 @@ class DeviationConstants:
     R_bar: float
 
 
+@_in_double_range("deviation_constants")
 def deviation_constants(
     rc: RegionConstants, mp: MassParams, B1: Optional[float] = None
 ) -> DeviationConstants:
@@ -401,6 +439,7 @@ def _lambda_star(rc, dc, mp, R):
     return min(mp.alpha2 * dc.A1, C / (R - K), lam_L, LAMBDA_CAP)
 
 
+@_in_double_range("strip_and_main")
 def strip_and_main(
     rc: RegionConstants,
     dc: DeviationConstants,
@@ -672,6 +711,14 @@ def _marchal_bnb(mu1: float, mu2: float, lam_edge: float):
     raise ArithmeticError(f"phi minimum not enclosed to {DELTA_TOL:g} in {boxes} boxes")
 
 
+@functools.lru_cache(maxsize=16)
+def _marchal_delta(mu1: float, mu2: float, lam_edge: float):
+    """_marchal_bnb's (lower, upper, boxes), memoized on its exact inputs.
+    The open boxes are dropped, so an entry holds three numbers."""
+    return _marchal_bnb(mu1, mu2, lam_edge)[:3]
+
+
+@_in_double_range("marchal_comparison")
 def marchal_comparison(rc: RegionConstants, mp: MassParams) -> MarchalComparison:
     """delta = a certified lower bound of min phi over lam in [0, lam_max] x
     gamma in [0, pi], by interval branch-and-bound in c = cos(gamma) over
@@ -689,7 +736,7 @@ def marchal_comparison(rc: RegionConstants, mp: MassParams) -> MarchalComparison
         lam_max = min(rc.c_r / math.sqrt(val), rc.sigma)
     else:
         lam_max = rc.sigma
-    delta, delta_upper, boxes, _ = _marchal_bnb(mp.mu1, mp.mu2, math.nextafter(lam_max, _UP))
+    delta, delta_upper, boxes = _marchal_delta(mp.mu1, mp.mu2, math.nextafter(lam_max, _UP))
     if not delta > 0.0:
         raise ValueError("phi minimum not positive; region constants inconsistent")
     rho_M = rc.c_j2**2 / (mp.M * delta)

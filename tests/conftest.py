@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from lunarbound import kepler
+from lunarbound import bounds, kepler
 from lunarbound.bounds import compute_chain, i0
 from lunarbound.core import JacobiState, MassParams
 from lunarbound.integrate import EventSpec
 from lunarbound.harness import APPENDIX_H, APPENDIX_J, APPENDIX_MASSES
+
+
+@pytest.fixture(autouse=True)
+def cold_chain_memos():
+    """Each test starts with empty memos of the chain's mass-only stages, so
+    a test that counts root solves or enclosures, or records the call sites
+    they reach, sees the same calls whatever ran before it."""
+    bounds._collinear_line.cache_clear()
+    bounds._marchal_delta.cache_clear()
 
 
 @pytest.fixture(scope="session")

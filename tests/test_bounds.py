@@ -1,6 +1,8 @@
 """The constant chain: splitting threshold, region bounds, deviation and
 strip constants, the final threshold, and the monotonicity-method comparison."""
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from lunarbound import bounds as bd
+from lunarbound import cli
 from lunarbound import kepler as kp
 from lunarbound.core import JacobiState, MassParams, angular_momentum, energy_split, moment_of_inertia, perturbation
 from lunarbound.bounds import (
@@ -450,6 +453,91 @@ class TestI0:
         I0_1, _ = i0(mp_equal, H1, J1)
         I0_2, _ = i0(mp2, H2, J2)
         assert I0_2 >= k**3 * I0_1 * (1 - 1e-9)
+
+
+class TestChainMemo:
+    """The collinear configurations and Marchal's delta are memoized on the
+    exact floats they read; a chain served from the memo is the chain
+    computed afresh."""
+
+    @staticmethod
+    def _cases():
+        """A seeded grid at two levels, J up to 1.05 of the splitting limit,
+        and extreme mass ratios whose chains leave the double range."""
+        cases = [((1e-200, 1.0, 1.0), -0.5, 0.1), ((1e100, 1.0, 1.0), -0.5, 0.1),
+                 ((1.0, 1.0, 1e-300), -0.5, 0.1), ((0.4, 2.9, 1.7), -0.1, 0.3)]
+        rng = np.random.default_rng(2323)
+        for _ in range(8):
+            masses = tuple(float(m) for m in rng.uniform(0.2, 3.0, size=3))
+            for H in (-0.5, -1.0):
+                J_max = euler_potential_saddle(MassParams(*masses)) / math.sqrt(2.0 * abs(H))
+                cases.append((masses, H, float(rng.uniform(0.0, 1.05)) * J_max))
+        return cases
+
+    @staticmethod
+    def _bounds(capsys, cases, cold=False):
+        """(exit code, stdout, stderr) of `bounds` for each case."""
+        runs = []
+        for masses, H, J in cases:
+            if cold:
+                bd._collinear_line.cache_clear()
+                bd._marchal_delta.cache_clear()
+            code = cli.main(["--masses", *map(repr, masses), "--H", repr(H), "--J", repr(J),
+                             "bounds"])
+            got = capsys.readouterr()
+            runs.append((code, got.out, got.err))
+        return runs
+
+    def test_memo_is_transparent(self, capsys, monkeypatch):
+        cases = self._cases()
+        cold = self._bounds(capsys, cases, cold=True)
+        errors = {err.split(":")[1].strip() for code, _, err in cold if code == 2}
+        assert {code for code, _, _ in cold} == {0, 2}
+        assert {"region_constants overflows a double", "R_lambda overflows a double",
+                "no splitting at these levels"} <= errors
+        # each case twice in a row: the second call reads its stages from the memo
+        warm = self._bounds(capsys, [c for c in cases for _ in range(2)])
+        assert warm[0::2] == cold and warm[1::2] == cold
+        assert bd._collinear_line.cache_info().hits > 0 and bd._marchal_delta.cache_info().hits > 0
+        library = [TestI0._outcome(lambda: i0(MassParams(*m), H, J)) for m, H, J in cases]
+        monkeypatch.setattr(bd, "_collinear_line", bd._collinear_line.__wrapped__)
+        monkeypatch.setattr(bd, "_marchal_delta", bd._marchal_delta.__wrapped__)
+        assert self._bounds(capsys, cases) == cold
+        assert [TestI0._outcome(lambda: i0(MassParams(*m), H, J)) for m, H, J in cases] == library
+
+    def test_one_solve_per_ordered_triple(self, monkeypatch):
+        quintics, enclosures = [], []
+        quintic, bnb = bd._euler_quintic_root, bd._marchal_bnb
+        monkeypatch.setattr(bd, "_euler_quintic_root", lambda *a: quintics.append(a) or quintic(*a))
+        monkeypatch.setattr(bd, "_marchal_bnb", lambda *a: enclosures.append(a) or bnb(*a))
+        mp = MassParams(1.0, 2.0, 3.0)
+        i0(mp, -0.5, 0.1)
+        # three labelings of three configurations: each ordering of the masses once
+        assert sorted(quintics) == sorted(itertools.permutations(mp.masses()))
+        assert len(enclosures) == 1
+        i0(mp, -1.0, 0.1)
+        assert (len(quintics), len(enclosures)) == (6, 1)
+
+    def test_lambda_edge_is_part_of_the_key(self, monkeypatch):
+        # the binding labeling of (1, 2, 3) at these levels, whose lam_max
+        # sits at sigma's cap
+        mp = MassParams(1.0, 2.0, 3.0).relabeled(1)
+        rc = region_constants(mp, -0.5, 0.1)
+        assert marchal_comparison(rc, mp).lam_max == rc.sigma
+        # a raw splitting threshold above alpha1 c_r^2 + alpha2 (c_r/sigma)^2
+        # (which i_star_eff bounds) puts lam_max below sigma
+        rc_inner = dataclasses.replace(rc, i_star=4.0 * rc.i_star_eff)
+        enclosures = []
+        bnb = bd._marchal_bnb
+        monkeypatch.setattr(bd, "_marchal_bnb", lambda *a: enclosures.append(a) or bnb(*a))
+        mc = marchal_comparison(rc_inner, mp)
+        assert mc.lam_max < rc.sigma
+        assert len(enclosures) == 1
+        fresh = bnb(mp.mu1, mp.mu2, math.nextafter(mc.lam_max, math.inf))
+        assert (mc.delta, mc.delta_upper, mc.boxes) == fresh[:3]
+        # the entry at sigma's cap is still there
+        assert marchal_comparison(rc, mp).lam_max == rc.sigma
+        assert len(enclosures) == 1
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, rtol: float = 1e-6):

@@ -409,6 +409,26 @@ class TestCli:
         assert code == 2
         assert "R_lambda overflows a double" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("masses, stage", [
+        # rho^3 underflows to 0 in rho_min's budget
+        (("1e-200", "1", "1"), "region_constants"),
+        # rho^3 exceeds the double range in the same budget
+        (("1e200", "1", "1"), "region_constants"),
+        # c_J2^4 in the osculating-pericenter threshold
+        (("1e-100", "1", "1"), "i_star_star"),
+        # the two light bodies of a collinear configuration round to one point
+        (("1e100", "1", "1"), "euler_configuration"),
+        # alpha2 A1 and alpha1 c_r^2 both round to 0 in lambda*
+        (("1", "1", "1e-300"), "strip_and_main"),
+    ])
+    def test_bounds_extreme_mass_ratio_exit_two(self, capsys, masses, stage):
+        code = self.run_cli("--masses", *masses, "--H", "-0.5", "--J", "0.1", "bounds")
+        got = capsys.readouterr()
+        assert code == 2
+        assert got.out == ""
+        (line,) = got.err.splitlines()
+        assert line.startswith(f"error: {stage} overflows a double: ")
+
     def test_verify_theorem_overflow_exit_two(self, capsys):
         code = self.run_cli("--masses", "2.9", "1.7", "0.4", "--H", "-0.1", "--J", "0.3",
                             "verify-theorem", "--count", "1")
