@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .core import MassParams
@@ -115,7 +115,13 @@ class EulerConfig:
 
 def _euler_quintic_root(mA: float, mB: float, mC: float) -> float:
     """Positive root x of the collinear central configuration quintic for
-    masses (mA, mB, mC) in line order, x = BC/AB."""
+    masses (mA, mB, mC) in line order, x = BC/AB.
+
+    The root is bracketed in [1e-12, hi], hi doubled from 1 until p(hi) > 0
+    or hi**5 overflows.  Where mA dwarfs mB + mC it lies at or below 1e-12
+    (p(1e-12) >= 0); since p(0) = -(mB + mC) < 0, halving from 1e-12 then
+    brackets it within a factor 2, and it is solved to relative precision.
+    """
 
     def p(x):
         return (
@@ -127,12 +133,17 @@ def _euler_quintic_root(mA: float, mB: float, mC: float) -> float:
             - (mB + mC)
         )
 
-    hi = 1.0
-    for _ in range(200):
-        if p(hi) > 0.0:
-            break
-        hi *= 2.0
-    return brentq(p, 1e-12, hi, xtol=1e-15, rtol=8.881784197001252e-16, maxiter=200)
+    rtol = 8.881784197001252e-16
+    lo = hi = 1e-12
+    if p(lo) < 0.0:
+        hi = 1.0
+        while not p(hi) > 0.0:
+            # ends past the root, or where hi**5 raises OverflowError
+            hi *= 2.0
+        return brentq(p, lo, hi, xtol=1e-15, rtol=rtol, maxiter=200)
+    while p(lo) >= 0.0:
+        lo, hi = 0.5 * lo, lo
+    return brentq(p, lo, hi, xtol=math.ulp(0.0), rtol=rtol, maxiter=200)
 
 
 def _fma(a: float, b: float, c: float) -> float:
@@ -300,6 +311,9 @@ def region_constants(mp: MassParams, H: float, J: float) -> RegionConstants:
     hi = 4.0 * mp.beta2 / absH
     while budget(hi) > 0.0:
         hi *= 2.0
+    if math.isinf(hi):
+        # beta2 or c_g c_r^2 is past the double range, and budget(inf) is NaN
+        raise ChainOverflowError("rho_min", "the root of its budget exceeds the double range")
     rho_root = brentq(budget, lo, hi, xtol=1e-300, rtol=8.881784197001252e-16)
     rho_feas = 2.0 * mp.beta2 / ((1.0 - sigma) * absH)
     rho_min = max(rho_root, rho_feas)
@@ -464,6 +478,9 @@ def strip_and_main(
     R = max(dc.R_bar, i_star2, 4.0 * a1 * rc.c_r**2)
     if lam is None:
         lam = _lambda_star(rc, dc, mp, R)
+        if lam == 0.0:
+            raise ChainOverflowError("1/lambda*", "lambda*, the minimizer of R_lambda, underflows "
+                                     f"to 0 with alpha2 A1 = {a2 * dc.A1:.6g} and R = {R:.6g}")
     if not lam > 0.0:
         raise ValueError("lambda must be positive")
     lambda_prime = 2.0 * a2 * dc.A1 + lam
@@ -806,7 +823,9 @@ class BoundSet(StripConstants, DeviationConstants, RegionConstants):
         return 4.0 * (I_bar - mp.alpha1 * self.c_r**2)
 
     def to_dict(self) -> dict:
-        return {_JSON_KEYS.get(k, k): v for k, v in asdict(self).items()}
+        out = {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        out["marchal"] = dict(vars(self.marchal))
+        return out
 
 
 def _stages(mp: MassParams, H: float, J: float, far_body: int, lam: Optional[float],

@@ -17,17 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bounds import ChainOverflowError, i0
-from .core import angular_momentum, energy_split, moment_of_inertia
-from .harness import (
-    SCHEMA,
-    ScenarioConfig,
-    canonical_json,
-    run_appendix_scenario,
-    run_sandwich_experiment,
-    run_theorem_experiment,
-    sample_initial_conditions,
-)
-from .integrate import integrate
+from .config import SCHEMA, ScenarioConfig, canonical_json
 
 
 class UsageError(ValueError):
@@ -87,13 +77,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import core, harness
+
     cfg = _load_config(args)
-    states = sample_initial_conditions(cfg)
+    states = harness.sample_initial_conditions(cfg)
     mp = cfg.far_mp
     rows = []
     for i, st in enumerate(states):
-        H, _, _, _ = energy_split(st, mp)
-        J, _, _ = angular_momentum(st, mp)
+        H, _, _, _ = core.energy_split(st, mp)
+        J, _, _ = core.angular_momentum(st, mp)
         rows.append(
             {
                 "index": i,
@@ -101,7 +93,7 @@ def _cmd_sample(args) -> int:
                 "dxi1": st.dxi1.tolist(),
                 "xi2": st.xi2.tolist(),
                 "dxi2": st.dxi2.tolist(),
-                "I": moment_of_inertia(st, mp),
+                "I": core.moment_of_inertia(st, mp),
                 "H": H,
                 "J": list(J),
             }
@@ -111,10 +103,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import harness
+    from .integrate import integrate
+
     cfg = _load_config(args)
     if not 0 <= args.index < cfg.count:
         raise UsageError(f"--index must lie in [0, {cfg.count}), got {args.index}")
-    (st,) = sample_initial_conditions(cfg, indices=[args.index])
+    (st,) = harness.sample_initial_conditions(cfg, indices=[args.index])
     traj = integrate(st, cfg.far_mp, (0.0, args.t1), tol=cfg.tol, max_steps=cfg.max_steps,
                      dense=False, regularize=cfg.regularize)
     out_dir = Path(args.out) if args.out else Path(".")
@@ -126,17 +121,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_sandwich(args) -> int:
+    from . import harness
+
     cfg = _load_config(args)
-    report = run_sandwich_experiment(cfg)
+    report = harness.run_sandwich_experiment(cfg)
     _emit(report, args, "sandwich_report.json")
     ok = report["aggregate"]["ok"] == report["aggregate"]["count"]
     return 0 if ok else 1
 
 
 def _cmd_verify_theorem(args) -> int:
+    from . import harness
+
     cfg = _load_config(args)
     t_start = time.perf_counter()
-    report = run_theorem_experiment(cfg)
+    report = harness.run_theorem_experiment(cfg)
     wall_clock_s = time.perf_counter() - t_start
     _emit(report, args, "theorem_report.json")
     agg = report["aggregate"]
@@ -153,12 +152,14 @@ _APPENDIX_REJECTS = ("config", "masses", "H", "J", "tol", "regularize", "jobs")
 
 
 def _cmd_appendix(args) -> int:
+    from . import harness
+
     given = [f"--{name}" for name in _APPENDIX_REJECTS if getattr(args, name) is not None]
     if given:
         raise UsageError(f"appendix reads only --seed, --out and --count, not {', '.join(given)}")
     count = args.count if args.count is not None else 20
     seed = args.seed if args.seed is not None else 7
-    report = run_appendix_scenario(count=count, seed=seed)
+    report = harness.run_appendix_scenario(count=count, seed=seed)
     bs = report["bound_set"]
     checks = report["checks"]
     print("equal-mass reference case: m_i = 1/3, H = -1/6, |J| = sqrt(8)/9")

@@ -10,15 +10,19 @@ Units: G = 1, masses in arbitrary positive units; all derived mass constants
 are recomputed from (m1, m2, m3) on access and never stored.
 
 All functions here are pure and all value types immutable, so states can be
-shared freely between threads and processes.
+shared freely between threads and processes.  The mass constants and the
+flat formulas run on Python floats; numpy is imported only by the state
+types and the functions that take or return numpy vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SingularConfigurationError",
@@ -46,6 +50,8 @@ class SingularConfigurationError(ValueError):
 
 
 def _vec3(x) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
@@ -135,9 +141,13 @@ class CartesianState:
             object.__setattr__(self, name, _vec3(getattr(self, name)))
 
     def positions(self) -> np.ndarray:
+        import numpy as np
+
         return np.stack([self.q1, self.q2, self.q3])
 
     def velocities(self) -> np.ndarray:
+        import numpy as np
+
         return np.stack([self.v1, self.v2, self.v3])
 
 
@@ -161,18 +171,26 @@ class JacobiState:
 
     @property
     def r(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.xi1))
 
     @property
     def rho(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.xi2))
 
     def as_vector(self) -> np.ndarray:
         """Flat layout [xi1, xi2, dxi1, dxi2] used by the integrators."""
+        import numpy as np
+
         return np.concatenate([self.xi1, self.xi2, self.dxi1, self.dxi2])
 
     @classmethod
     def from_vector(cls, y) -> "JacobiState":
+        import numpy as np
+
         y = np.asarray(y, dtype=float)
         return cls(xi1=y[0:3], xi2=y[3:6], dxi1=y[6:9], dxi2=y[9:12])
 
@@ -180,6 +198,8 @@ class JacobiState:
 def to_jacobi(state: CartesianState, mp: MassParams, tol: float = COM_TOL) -> JacobiState:
     """Cartesian -> Jacobi.  Rejects states that are not in the co-moving
     center-of-mass frame (beyond ``tol``, relative to the state's norm)."""
+    import numpy as np
+
     q = state.positions()
     v = state.velocities()
     m = np.array(mp.masses())
@@ -239,6 +259,8 @@ def flat_inertia(mp: MassParams):
 def angular_momentum(state: JacobiState, mp: MassParams):
     """Total angular momentum and its inner/outer split (J, J1, J2), as
     numpy 3-vectors."""
+    import numpy as np
+
     return tuple(np.array(v) for v in flat_angular_momentum(mp)(state.as_vector().tolist()))
 
 
@@ -383,6 +405,8 @@ def _float_rhs(field):
         try:
             return field(y)
         except (ZeroDivisionError, OverflowError):
+            import numpy as np
+
             return field(np.asarray(y, dtype=float))
 
     return rhs

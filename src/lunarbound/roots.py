@@ -15,8 +15,6 @@ import operator
 import sys
 from typing import Callable
 
-import numpy as np
-
 __all__ = ["brentq"]
 
 XTOL = 2e-12
@@ -70,6 +68,8 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = XTOL,
                 stry = _step(xpre, xcur, xblk, fpre, fcur, fblk)
             except ZeroDivisionError:
                 # C division: a zero divisor gives inf or nan, not an error
+                import numpy as np
+
                 with np.errstate(all="ignore"):
                     stry = float(_step(*map(np.float64, (xpre, xcur, xblk, fpre, fcur, fblk))))
             cap = abs(spre)

@@ -57,6 +57,22 @@ class TestEulerConfiguration:
                 b[2] = -(a[0] * b[0] + a[1] * b[1]) / a[2] * (1.0 + 1e-12 * rng.normal())
             assert bd._dot3(a, b) == fma(a[2], b[2], fma(a[1], b[1], a[0] * b[0])), (a, b)
 
+    @pytest.mark.parametrize("masses", [(1e40, 1.0, 1.0), (1e60, 2.0, 0.5), (3e36, 1.0, 1.0),
+                                        (1e60, 1e-100, 1e-100)])
+    def test_root_below_the_bracket(self, masses):
+        # where mA dwarfs mB + mC the root lies below 1e-12; it is solved in
+        # [0, 1e-12] to relative precision: exact p changes sign within 8 ulps
+        mA, mB, mC = map(Fraction, masses)
+
+        def p(x):
+            x = Fraction(x)
+            return ((mA + mB) * x**5 + (3 * mA + 2 * mB) * x**4 + (3 * mA + mB) * x**3
+                    - (mB + 3 * mC) * x**2 - (2 * mB + 3 * mC) * x - (mB + mC))
+
+        x = bd._euler_quintic_root(*masses)
+        assert 0.0 < x < 1e-12
+        assert p(x - 8 * math.ulp(x)) < 0 < p(x + 8 * math.ulp(x))
+
     def test_equal_masses_all_orderings_agree(self, mp_equal):
         vals = [euler_configuration(mp_equal, k).u_hat for k in (1, 2, 3)]
         assert max(vals) - min(vals) < 1e-14
@@ -338,6 +354,14 @@ class TestI0:
     def test_appendix_i0_regression(self, appendix_i0):
         I0_val, _ = appendix_i0
         assert I0_val == pytest.approx(1.9396180893574466e44, rel=1e-6)
+
+    def test_to_dict_is_the_deep_copy(self, appendix_i0):
+        # to_dict walks the fields once; dataclasses.asdict gives the same dict
+        _, bs = appendix_i0
+        deep = {bd._JSON_KEYS.get(k, k): v for k, v in dataclasses.asdict(bs).items()}
+        assert bs.to_dict() == deep
+        assert canonical_json(bs.to_dict()) == canonical_json(deep)
+        assert bs.to_dict()["marchal"] is not bs.to_dict()["marchal"]
 
     def test_deterministic(self, mp_equal):
         a = compute_chain(mp_equal, APPENDIX_H, APPENDIX_J)

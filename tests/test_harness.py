@@ -278,6 +278,36 @@ class TestConfigRoundTrip:
         s = canonical_json({"x": 1.0 / 3.0})
         assert s == '{"x":0.33333333333333331}'
 
+    def test_canonical_json_numpy_values(self):
+        # numpy scalars and arrays are written as their tolist(), in the
+        # bytes of the writer that tested for numpy types one by one
+        obj = {
+            "b": np.bool_(False), "t": np.bool_(True),
+            "a": [np.int64(-3), np.int32(7), np.uint8(255), np.float32(0.1), np.float32(2.5),
+                  np.float64(0.1), np.float64("nan"), np.float64("-inf"), np.float16(0.3)],
+            "c": np.arange(3.0), "m": np.array([[1.5, 2.0], [np.inf, -0.0]]),
+            "i": np.array([1, 2], dtype=np.int64), "z": np.array([True, False]),
+        }
+        assert canonical_json(obj) == (
+            '{"a":[-3,7,255,0.10000000149011612,2.5,0.10000000000000001,NaN,-Infinity,'
+            '0.300048828125],"b":false,"c":[0,1,2],"i":[1,2],"m":[[1.5,2],[Infinity,-0]],'
+            '"t":true,"z":[true,false]}'
+        )
+        for bad in ({1: 2.0}, {"x": object()}, 1j, np.complex128(1j)):
+            with pytest.raises(TypeError):
+                canonical_json(bad)
+
+    def test_J_mag_is_numpy_norm(self):
+        # the fused dot product of bounds._dot3 and its square root, bit for
+        # bit numpy's norm; inf where |J|^2 leaves the double range
+        rng = np.random.default_rng(5)
+        vecs = rng.normal(size=(5000, 3)) * 10.0 ** rng.uniform(-150, 150, size=(5000, 1))
+        vecs[::7, :2] = 0.0
+        for J in vecs.tolist() + [[0.0, 0.0, 1e200], [1e305, -1e305, 0.0], [0.0, 0.0, 0.0]]:
+            cfg = ScenarioConfig(masses=(1, 1, 1), H=-0.5, J=tuple(J))
+            with np.errstate(over="ignore"):
+                assert cfg.J_mag == float(np.linalg.norm(cfg.J_vec)), J
+
 
 class TestSandwichExperimentReport:
     def test_small_batch_ok(self, appendix_chain):
@@ -423,6 +453,30 @@ class TestCli:
     ])
     def test_bounds_extreme_mass_ratio_exit_two(self, capsys, masses, stage):
         code = self.run_cli("--masses", *masses, "--H", "-0.5", "--J", "0.1", "bounds")
+        got = capsys.readouterr()
+        assert code == 2
+        assert got.out == ""
+        (line,) = got.err.splitlines()
+        assert line.startswith(f"error: {stage} overflows a double: ")
+
+    @pytest.mark.parametrize("masses, H, J, stage", [
+        # the collinear quintic's root lies below 1e-12 (about 4e-14), then A1 overflows
+        (("1e40", "1", "1"), "-0.5", "0.1", "A1"),
+        # beta2 overflows, so rho_min's budget reads NaN at its bracket's end
+        (("2.6836480892621846e+153", "2.365073503925093e+156", "0.0014077474916581322"),
+         "-570.1294354197473", "0.07198977505908566", "rho_min"),
+        # lambda* = C/(R - K) underflows to 0
+        (("7.660618203825278e+35", "0.0014482375223957983", "2.517067116236017e-46"),
+         "-1.1481034240420356", "0.36808904676717447", "1/lambda*"),
+        # the quintic's root (about 8e-43) is found; 1 + x then rounds to 1
+        (("2.7099615157752534e-116", "9.05418751324633e+58", "1.8664054018017289e-96"),
+         "-33516.47966742155", "6.943074438333156e-284", "euler_configuration"),
+        # the quintic's root lies past where p(x) can be evaluated
+        (("5.288463524567019e+192", "4.757386759809729e-137", "6.277736346985956e-207"),
+         "-5.141020562549081", "1.0909786609141408e+116", "euler_configuration"),
+    ])
+    def test_bounds_extreme_inputs_name_a_stage(self, capsys, masses, H, J, stage):
+        code = self.run_cli("--masses", *masses, "--H", H, "--J", J, "bounds")
         got = capsys.readouterr()
         assert code == 2
         assert got.out == ""
@@ -637,3 +691,87 @@ class TestCli:
         agg = report["aggregate"]
         assert (agg["ok"], agg["violations"]) == (1, 0)
         assert agg["worst_deviation_fraction"] == s0["max_deviation"] / s0["bound"]
+
+
+# the names the package exported when it imported every submodule up front,
+# by the submodule that defines them
+PACKAGE_NAMES = {
+    "core": ["CartesianState", "JacobiState", "MassParams", "SingularConfigurationError",
+             "angular_momentum", "energy_split", "from_jacobi", "moment_of_inertia",
+             "perturbation", "to_jacobi"],
+    "kepler": ["CollisionAtTimeError", "InfeasibleGeometryError", "KeplerElements",
+               "TwoBodyState", "collision_time_bound", "elements_from_state",
+               "lambert_time_of_flight", "pericenter_distance_bound", "propagate",
+               "time_to_pericenter"],
+    "bounds": ["BoundSet", "NoSplittingError", "compute_chain", "euler_configuration", "i0",
+               "i_star", "region_constants"],
+    "integrate": ["Event", "EventSpec", "Trajectory", "integrate"],
+    "osculate": ["osculating_orbit", "sandwich_ode", "verify_deviation"],
+    "harness": ["ScenarioConfig", "run_appendix_scenario", "run_theorem_experiment",
+                "sample_initial_conditions"],
+}
+
+BOUNDS_ARGV = ["--masses", "1", "2", "3", "--H", "-0.5", "--J", "0.1", "bounds"]
+
+
+class TestImportGraph:
+    """The bounds command loads the chain and the config module only."""
+
+    def run_python(self, code, *args):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=env, check=True).stdout
+
+    def test_bounds_loads_no_numpy(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from lunarbound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'lunarbound')))\n"
+        )
+        loaded = self.run_python(code, *BOUNDS_ARGV).split()
+        assert "lunarbound.bounds" in loaded and "lunarbound.config" in loaded
+        for name in ("numpy", "lunarbound.harness", "lunarbound.integrate",
+                     "lunarbound.osculate", "lunarbound.kepler"):
+            assert name not in loaded
+
+    def test_bounds_without_numpy_writes_the_same_bytes(self, capsys):
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from lunarbound.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        assert cli.main(BOUNDS_ARGV) == 0
+        assert self.run_python(code, *BOUNDS_ARGV) == capsys.readouterr().out
+
+    def test_package_names_resolve(self):
+        import importlib
+
+        import lunarbound
+
+        for module, names in PACKAGE_NAMES.items():
+            for name in names:
+                value = getattr(importlib.import_module(f"lunarbound.{module}"), name)
+                assert getattr(lunarbound, name) is value, name
+                scope = {}
+                exec(f"from lunarbound import {name}", scope)
+                assert scope[name] is value, name
+                assert name in dir(lunarbound)
+        assert callable(lunarbound.integrate)
+        with pytest.raises(AttributeError):
+            lunarbound.no_such_name
+
+    def test_submodules_resolve_on_first_access(self):
+        # a submodule not yet loaded resolves as an attribute; integrate
+        # stays the function after its submodule loads
+        code = (
+            "import sys, lunarbound\n"
+            "assert 'lunarbound.kepler' not in sys.modules\n"
+            "assert lunarbound.kepler is sys.modules['lunarbound.kepler']\n"
+            "import lunarbound.harness\n"
+            "from lunarbound import integrate\n"
+            "assert integrate is lunarbound.integrate is lunarbound.harness.integrate\n"
+        )
+        self.run_python(code)
