@@ -553,9 +553,12 @@ def _term_value(w, m, l0, l1, c0, c1):
     aa1 = nx(a1 * a1, _UP)
     u0 = nx(1.0 + ac0, _DN)
     u1 = nx(1.0 + ac1, _UP)
-    # D = u + a c + a^2 >= (1 - a)^2 > 0, since a <= lam_max < 1
+    # D >= (1 - a)^2 > 0 for a < 1, but d0, about 1 - 2 a1 + a0^2 at
+    # c0 = -1, reaches 0 on a wide box once m lam_edge >= 1/2
     d0 = nx(nx(u0 + ac0, _DN) + aa0, _DN)
     d1 = nx(nx(u1 + ac1, _UP) + aa1, _UP)
+    if not d0 > 0.0:
+        raise ValueError(f"D = 1 + 2 a c + a^2 is not enclosed above 0 where a reaches {a1!r}")
     # D^(-3/2) = 1/(D sqrt D) falls as D grows
     q0 = nx(1.0 / nx(d1 * nx(math.sqrt(d1), _UP), _UP), _DN)
     q1 = nx(1.0 / nx(d0 * nx(math.sqrt(d0), _DN), _DN), _UP)
@@ -656,7 +659,9 @@ def _marchal_bnb(mu1: float, mu2: float, lam_edge: float):
 
     Returns (lower, upper, boxes, open_boxes): min phi lies in
     [lower, upper], boxes counts the enclosures made, and open_boxes holds
-    (bound, seq, l0, l1, c0, c1, split) for each box still open.
+    (bound, seq, l0, l1, c0, c1, split) for each box still open.  Raises
+    ValueError when no box bounds phi (an enclosure of D reaches 0) or
+    _MAX_BOXES boxes do not reach DELTA_TOL.
     """
     nx = math.nextafter
     upper = min(_phi_point(mu1, mu2, L, c)[1]
@@ -725,7 +730,7 @@ def _marchal_bnb(mu1: float, mu2: float, lam_edge: float):
             cm = 0.5 * (c0 + c1)
             enclose(l0, l1, c0, cm)
             enclose(l0, l1, cm, c1)
-    raise ArithmeticError(f"phi minimum not enclosed to {DELTA_TOL:g} in {boxes} boxes")
+    raise ValueError(f"phi minimum not enclosed to {DELTA_TOL:g} in {boxes} boxes")
 
 
 @functools.lru_cache(maxsize=16)
@@ -745,7 +750,7 @@ def marchal_comparison(rc: RegionConstants, mp: MassParams) -> MarchalComparison
     the component's own separation ratio, which also keeps both denominators
     of phi away from zero).  Minimizing over this superset of the admissible
     ratios, widened by one ulp past lam_max, is conservative: it can only
-    lower delta and raise I_M.
+    lower delta and raise I_M.  A delta not certified raises ValueError.
     """
     a1, a2 = mp.alpha1, mp.alpha2
     val = (rc.i_star - a1 * rc.c_r**2) / a2
@@ -753,7 +758,10 @@ def marchal_comparison(rc: RegionConstants, mp: MassParams) -> MarchalComparison
         lam_max = min(rc.c_r / math.sqrt(val), rc.sigma)
     else:
         lam_max = rc.sigma
-    delta, delta_upper, boxes = _marchal_delta(mp.mu1, mp.mu2, math.nextafter(lam_max, _UP))
+    try:
+        delta, delta_upper, boxes = _marchal_delta(mp.mu1, mp.mu2, math.nextafter(lam_max, _UP))
+    except ValueError as exc:
+        raise ValueError(f"marchal_comparison: {exc}") from exc
     if not delta > 0.0:
         raise ValueError("phi minimum not positive; region constants inconsistent")
     rho_M = rc.c_j2**2 / (mp.M * delta)

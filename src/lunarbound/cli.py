@@ -3,7 +3,7 @@
 Subcommands: bounds, sample, simulate, verify-sandwich, verify-theorem,
 appendix.  Exit codes: 0 success, 1 verification assertion failed, 2 usage
 or configuration error, including levels at which the constant chain
-overflows the double range.
+overflows the double range or Marchal's delta is not certified.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -188,6 +189,16 @@ def _cmd_appendix(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (subcommands' too) that reads --H -5e-1 as a value: argparse
+    takes '-5e-1' for an option unless it matches the negative-number
+    pattern, which before Python 3.13 has no exponent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it.
@@ -195,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     parse_args keeps nothing between calls: each returns a fresh namespace,
     and main fills the optional attributes on that namespace, not here.
     """
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lunarbound",
         description="three-body inertia-bound toolkit: bound chain, simulation, verification",
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Tuple
 
@@ -38,8 +37,7 @@ def canonical_json(obj) -> str:
 
     Hand-rolled writer because the stdlib encoder pins floats to repr();
     17 significant digits round-trip every double exactly.  A value of no
-    Python JSON type is written as its tolist(), which turns numpy scalars
-    and arrays into the Python values they hold.
+    Python JSON type raises TypeError.
     """
     out = []
 
@@ -73,10 +71,7 @@ def canonical_json(obj) -> str:
                 write(v)
             out.append("]")
         else:
-            value = o.tolist() if hasattr(o, "tolist") else o
-            if type(value) is type(o):
-                raise TypeError(f"cannot serialize {type(o)!r}")
-            write(value)
+            raise TypeError(f"cannot serialize {type(o)!r}")
 
     write(obj)
     return "".join(out)
@@ -132,12 +127,6 @@ def _is_finite(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _is_sequence(v) -> bool:
-    """A list, a tuple or a numpy array (there is none unless numpy is loaded)."""
-    np = sys.modules.get("numpy")
-    return isinstance(v, (list, tuple)) or (np is not None and isinstance(v, np.ndarray))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment: masses, levels, sampler spec, budgets, overrides.
@@ -190,7 +179,7 @@ class ScenarioConfig:
             ("budget_factor", [self.budget_factor]), *pairs.items(),
             *((k, [v]) for k, v in nullable.items() if v is not None),
         ):
-            if not (_is_sequence(vals) and all(map(_is_finite, vals))):
+            if not (isinstance(vals, (list, tuple)) and all(map(_is_finite, vals))):
                 raise ValueError(f"{name} must hold finite numbers, got {vals!r}")
         for name, vals in pairs.items():
             if len(vals) != 2 or not vals[0] <= vals[1]:
@@ -229,13 +218,6 @@ class ScenarioConfig:
         """The masses relabeled so that far_body is last: the labeling of the
         chain's constants, in which states are sampled and integrated."""
         return self.mp.relabeled(self.far_body)
-
-    @property
-    def J_vec(self):
-        """J as a numpy 3-vector."""
-        import numpy as np
-
-        return np.array(self.J)
 
     @property
     def J_mag(self) -> float:

@@ -102,7 +102,7 @@ def _sample_one(cfg: ScenarioConfig, bs: BoundSet, I_lo: float, I_hi: float, ind
     feasibility-violating draws."""
     mp = cfg.far_mp
     rng = _rng_for(cfg.seed, index)
-    J_vec = cfg.J_vec
+    J_vec = np.array(cfg.J)
     last_reason = "no draw attempted"
     for _ in range(64):
         xi1, dxi1 = _inner_state(rng, mp, cfg, bs.c_r)
@@ -274,7 +274,7 @@ def _theorem_sample(cfg: ScenarioConfig, bs: BoundSet, level: float, t_budget: f
     J, _, _ = angular_momentum(state, mp)
     dH = abs(H - cfg.H) / abs(cfg.H)
     jm = cfg.J_mag
-    dJ = float(np.linalg.norm(J - cfg.J_vec)) / (jm if jm > 0 else 1.0)
+    dJ = float(np.linalg.norm(J - np.array(cfg.J))) / (jm if jm > 0 else 1.0)
     # try the inbound direction first: that is where entry happens, and with
     # lazy_directions it saves integrating a full budget that proves nothing
     rv = float(state.xi2 @ state.dxi2)

@@ -67,11 +67,8 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = XTOL,
             try:
                 stry = _step(xpre, xcur, xblk, fpre, fcur, fblk)
             except ZeroDivisionError:
-                # C division: a zero divisor gives inf or nan, not an error
-                import numpy as np
-
-                with np.errstate(all="ignore"):
-                    stry = float(_step(*map(np.float64, (xpre, xcur, xblk, fpre, fcur, fblk))))
+                # C's division gives inf or nan here, and either one bisects
+                stry = math.inf
             cap = abs(spre)
             if not cap < 3 * abs(sbis) - delta:
                 cap = 3 * abs(sbis) - delta
