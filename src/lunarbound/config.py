@@ -186,6 +186,12 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be two numbers, low <= high, got {list(vals)!r}")
         if not self.a1_frac[0] > 0.0:
             raise ValueError(f"sampler.inner.a1_frac must be positive, got {list(self.a1_frac)!r}")
+        # the level and the sampling window are inertias: their low ends must be positive
+        if self.i_range is not None and not self.i_range[0] > 0.0:
+            raise ValueError(f"i_range must be positive, got {list(self.i_range)!r}")
+        for name, val in (("sampler.outer.i_lo_factor", self.i_lo_factor), ("level", self.level)):
+            if val is not None and not val > 0.0:
+                raise ValueError(f"{name} must be positive, got {val!r}")
         if not (self.e1[0] >= 0.0 and self.e1[1] < 1.0):
             raise ValueError(f"sampler.inner.e1 must lie in [0, 1), got {list(self.e1)!r}")
         if len(self.masses) != 3 or len(J) != 3:

@@ -115,7 +115,7 @@ def _sample_one(cfg: ScenarioConfig, bs: BoundSet, I_lo: float, I_hi: float, ind
         I_target = rng.uniform(I_lo, I_hi)
         rho_sq = (I_target - mp.alpha1 * r * r) / mp.alpha2
         if rho_sq <= 0.0:
-            last_reason = "target inertia below the binary's own contribution"
+            last_reason = f"target inertia in [{I_lo!r}, {I_hi!r}] below the binary's own contribution"
             continue
         rho0 = math.sqrt(rho_sq)
 

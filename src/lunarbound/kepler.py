@@ -1,39 +1,29 @@
-"""Exact two-body machinery.
+"""Exact two-body machinery on float 3-tuples, without numpy.
 
-Covers every conic type in one code path: elements from a state vector,
+Covers every conic type in one code path: elements from a state vector and
 universal-variable propagation (Stumpff functions, Newton with a bisection
-safeguard), time to pericenter, radial fall times, and the time-of-flight
-function behind Lambert's theorem.
+safeguard).  Dot products and norms are the fused chain ``bounds._dot3``.
 
-One Kepler clock, ``_time_since_pericenter``, serves the pericenter times,
-the radial collision window, the radial fall times and the osculating exit
-time; it branches on the sign of the energy alone, and no orbit carries a
-conic label.  Radial (zero angular momentum) orbits are ordinary values
-here, not a special type: they carry c = 0, eccentricity 1 and a signed
-radial phase, and their "pericenter" is the collision itself.
+One Kepler clock, ``_time_since_pericenter``, serves the radial collision
+window and the osculating exit time; it branches on the sign of the energy
+alone, and no orbit carries a conic label.  A radial orbit (zero angular
+momentum, c = 0) is an ordinary value with eccentricity 1 and a signed
+radial phase; its "pericenter" is the collision itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-import numpy as np
+from .bounds import _dot3
 
 __all__ = [
     "CollisionAtTimeError",
-    "InfeasibleGeometryError",
     "TwoBodyState",
     "KeplerElements",
     "elements_from_state",
     "propagate",
-    "PericenterTime",
-    "time_to_pericenter",
-    "collision_time_bound",
-    "radial_fall_time",
-    "lambert_time_of_flight",
-    "pericenter_distance_bound",
     "stumpff_c", "stumpff_s",
 ]
 
@@ -58,30 +48,41 @@ class CollisionAtTimeError(RuntimeError):
         self.t_collision = t_collision
 
 
-class InfeasibleGeometryError(ValueError):
-    """Chord/radii/energy combination admits no Kepler arc."""
+def _norm(v) -> float:
+    """|v| as sqrt of the fused dot chain, which is np.linalg.norm's value."""
+    return math.sqrt(_dot3(v, v))
+
+
+def _cross(a, b) -> tuple:
+    """a x b with np.cross's products and differences, unfused."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _fg(f: float, x, g: float, v) -> tuple:
+    """f x + g v, componentwise and unfused, as numpy evaluates it."""
+    return tuple(f * a + g * b for a, b in zip(x, v))
 
 
 @dataclass(frozen=True)
 class TwoBodyState:
-    """Position, velocity and gravitational parameter of one Kepler problem."""
+    """Position and velocity (float 3-tuples) and kappa of one Kepler problem."""
 
-    xi: np.ndarray
-    dxi: np.ndarray
+    xi: tuple
+    dxi: tuple
     kappa: float
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        object.__setattr__(self, "dxi", np.asarray(self.dxi, dtype=float))
+        object.__setattr__(self, "xi", tuple(map(float, self.xi)))
+        object.__setattr__(self, "dxi", tuple(map(float, self.dxi)))
         object.__setattr__(self, "kappa", float(self.kappa))
 
     @property
     def r(self) -> float:
-        return float(np.linalg.norm(self.xi))
+        return _norm(self.xi)
 
     @property
     def speed(self) -> float:
-        return float(np.linalg.norm(self.dxi))
+        return _norm(self.dxi)
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,16 @@ class KeplerElements:
 
     kappa: float
     h: float
-    c_vec: np.ndarray
-    e_vec: np.ndarray
+    c_vec: tuple
+    e_vec: tuple
 
     @property
     def c(self) -> float:
-        return float(np.linalg.norm(self.c_vec))
+        return _norm(self.c_vec)
 
     @property
     def e(self) -> float:
-        return float(np.linalg.norm(self.e_vec))
+        return _norm(self.e_vec)
 
     @property
     def a(self) -> float:
@@ -120,9 +121,9 @@ def elements_from_state(s: TwoBodyState) -> KeplerElements:
     r = s.r
     if r == 0.0:
         raise ValueError("cannot form elements at zero radius")
-    h = 0.5 * float(s.dxi @ s.dxi) - s.kappa / r
-    c_vec = np.cross(s.xi, s.dxi)
-    e_vec = np.cross(s.dxi, c_vec) / s.kappa - s.xi / r
+    h = 0.5 * _dot3(s.dxi, s.dxi) - s.kappa / r
+    c_vec = _cross(s.xi, s.dxi)
+    e_vec = tuple(a / s.kappa - b / r for a, b in zip(_cross(s.dxi, c_vec), s.xi))
     return KeplerElements(kappa=s.kappa, h=h, c_vec=c_vec, e_vec=e_vec)
 
 
@@ -180,7 +181,7 @@ def _sinh_minus(x: float) -> float:
 
 
 def _is_radial(s: TwoBodyState) -> bool:
-    c = float(np.linalg.norm(np.cross(s.xi, s.dxi)))
+    c = _norm(_cross(s.xi, s.dxi))
     r = s.r
     return c <= _RADIAL_TOL * math.sqrt(s.kappa * r) + _RADIAL_TOL * r * s.speed
 
@@ -219,7 +220,7 @@ def _radial_collision_window(s: TwoBodyState):
     r = s.r
     kappa = s.kappa
     h = 0.5 * s.speed**2 - kappa / r
-    vr = float(s.xi @ s.dxi) / r
+    vr = _dot3(s.xi, s.dxi) / r
     t_since = _time_since_pericenter(r, vr * r, h, kappa)
     if h < 0.0:
         a = -kappa / (2.0 * h)
@@ -249,8 +250,8 @@ def propagate(s: TwoBodyState, t: float) -> TwoBodyState:
         raise ValueError("cannot propagate from zero radius")
     kappa = s.kappa
     sqk = math.sqrt(kappa)
-    rv = float(s.xi @ s.dxi)
-    v2 = float(s.dxi @ s.dxi)
+    rv = _dot3(s.xi, s.dxi)
+    v2 = _dot3(s.dxi, s.dxi)
     alpha = 2.0 / r0 - v2 / kappa
 
     if _is_radial(s):
@@ -273,13 +274,13 @@ def propagate(s: TwoBodyState, t: float) -> TwoBodyState:
     S = stumpff_s(z)
     f = 1.0 - chi * chi * C / r0
     g = dt - chi**3 * S / sqk
-    xi_new = f * s.xi + g * s.dxi
-    rn = float(np.linalg.norm(xi_new))
+    xi_new = _fg(f, s.xi, g, s.dxi)
+    rn = _norm(xi_new)
     if rn == 0.0:
         raise CollisionAtTimeError(t)
     fdot = sqk / (rn * r0) * chi * (z * S - 1.0)
     gdot = 1.0 - chi * chi * C / rn
-    dxi_new = fdot * s.xi + gdot * s.dxi
+    dxi_new = _fg(fdot, s.xi, gdot, s.dxi)
     return TwoBodyState(xi=xi_new, dxi=dxi_new, kappa=kappa)
 
 
@@ -381,99 +382,3 @@ def _solve_universal(r0, rv, alpha, kappa, dt) -> float:
             f"universal Kepler solve failed (residual {F:.3e} at chi={best_chi:.6e})"
         )
     return best_chi
-
-
-class PericenterTime(NamedTuple):
-    """Unsigned time to pericenter plus the direction that reaches it first
-    along the arc not containing apocenter (+1 forward, -1 backward)."""
-
-    time: float
-    direction: int
-
-
-def time_to_pericenter(s: TwoBodyState) -> PericenterTime:
-    """Time to pericenter along the pericenter-side arc.
-
-    Inbound states reach pericenter forward; outbound states most recently
-    left it, so the direct arc lies backward.  For radial orbits this is the
-    time to (or since) collision.  Circular orbits return 0 by convention:
-    every point of a circle is its own pericenter.
-    """
-    r = s.r
-    if r == 0.0:
-        raise ValueError("zero radius state")
-    rv = float(s.xi @ s.dxi)
-    el = elements_from_state(s)
-    if el.e < 1e-13:
-        return PericenterTime(0.0, +1)
-
-    if _is_radial(s):
-        t_prev, t_next = _radial_collision_window(s)
-        if rv < 0.0 or t_next <= -t_prev:
-            return PericenterTime(t_next, +1)
-        return PericenterTime(-t_prev, -1)
-
-    m = _time_since_pericenter(r, rv, el.h, s.kappa, el.e, el.q_peri)
-    if m > 0.0:
-        return PericenterTime(m, -1)
-    return PericenterTime(abs(m), +1)
-
-
-def collision_time_bound(rho0: float, kappa: float) -> float:
-    """pi (8 kappa)^(-1/2) rho0^(3/2): caps the fall time of every inbound
-    radial state released at distance rho0 (equality when falling from rest)."""
-    if rho0 <= 0.0 or kappa <= 0.0:
-        raise ValueError("rho0 and kappa must be positive")
-    return math.pi * rho0**1.5 / math.sqrt(8.0 * kappa)
-
-
-def radial_fall_time(x: float, h: float, kappa: float) -> float:
-    """Time from the center to radius x on a radial orbit of energy h.
-
-    The outbound reading of the Kepler clock at e = 1, q = 0; this is also
-    the building block of the time-of-flight function below (any Kepler arc
-    has a rectilinear configuration with the same energy, chord and radius
-    sum).
-    """
-    if x <= 0.0:
-        return 0.0
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    if h < 0.0 and x > (1.0 + 1e-12) * kappa / abs(h):
-        raise InfeasibleGeometryError(
-            f"radius {x} unreachable at energy {h} (max {kappa / abs(h)})"
-        )
-    rv = x * math.sqrt(max(2.0 * (h + kappa / x), 0.0))
-    return _time_since_pericenter(x, rv, h, kappa)
-
-
-def lambert_time_of_flight(r1: float, r2: float, d: float, h: float, kappa: float) -> float:
-    """Kepler time of flight between two points at radii r1, r2 with chord d,
-    on the arc not containing apocenter (the "short way").
-
-    Depends on the endpoints only through r1 + r2 and d, which is Lambert's
-    theorem; concretely it equals the difference of radial fall times of the
-    rectilinear configuration with s2 - s1 = d, s1 + s2 = r1 + r2.
-    Multi-revolution branches are out of scope.
-    """
-    if r1 < 0.0 or r2 < 0.0 or d < 0.0:
-        raise InfeasibleGeometryError("radii and chord must be nonnegative")
-    tol = 1e-12 * (r1 + r2 + d)
-    if d > r1 + r2 + tol or d < abs(r1 - r2) - tol:
-        raise InfeasibleGeometryError(
-            f"no triangle with radii ({r1}, {r2}) and chord {d}"
-        )
-    s2 = 0.5 * (r1 + r2 + d)
-    s1 = max(0.5 * (r1 + r2 - d), 0.0)
-    return radial_fall_time(s2, h, kappa) - radial_fall_time(s1, h, kappa)
-
-
-def pericenter_distance_bound(c_j2: float, kappa: float) -> float:
-    """c_j2^2 / kappa: pericenter distance cap for any orbit with c <= c_j2.
-
-    Worst case is the circular orbit (e = 0); collision orbits (c = 0) have
-    pericenter distance zero.
-    """
-    if c_j2 < 0.0:
-        raise ValueError("c_j2 must be nonnegative")
-    return c_j2 * c_j2 / kappa

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import kepler
-from .bounds import BoundSet
+from .bounds import BoundSet, _dot3
 from .core import JacobiState, MassParams, _float_rhs
 from .integrate import DEFAULT_TOL, DenseSolution, EventSpec, Trajectory, run_steps
 from .roots import brentq
@@ -46,8 +46,10 @@ def osculating_orbit(
 ) -> Tuple[kepler.KeplerElements, kepler.TwoBodyState]:
     """Freeze the outer Jacobi vector at time t into a two-body problem with
     kappa = M."""
-    st = traj.state_at(t)
-    tb = kepler.TwoBodyState(xi=st.xi2, dxi=st.dxi2, kappa=traj.mp.M)
+    if traj.dense is None:
+        raise ValueError("trajectory stored without dense output")
+    y = traj.dense(t)
+    tb = kepler.TwoBodyState(xi=y[3:6], dxi=y[9:12], kappa=traj.mp.M)
     if tb.r == 0.0:
         raise ValueError(f"degenerate radius at t = {t}")
     return kepler.elements_from_state(tb), tb
@@ -88,11 +90,10 @@ def sandwich_params(bs: BoundSet, I_bar: float, c0: float, M: float) -> Sandwich
     )
 
 
-def eta_bound(sp: SandwichParams, t) -> np.ndarray:
+def eta_bound(sp: SandwichParams, t: float) -> float:
     """(2 a eps^4 / omega)(cosh(sqrt(omega) |t|) - 1)."""
-    t = np.asarray(t, dtype=float)
-    x = np.sqrt(sp.omega) * np.abs(t)
-    return (2.0 * sp.a * sp.epsilon**4 / sp.omega) * (np.cosh(x) - 1.0)
+    x = math.sqrt(sp.omega) * abs(t)
+    return (2.0 * sp.a * sp.epsilon**4 / sp.omega) * (math.cosh(x) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def _osc_exit_time(tb0: kepler.TwoBodyState, rho_bar: float, horizon: float) -> 
     if q >= rho_bar:
         return None
     h, kappa, e = el.h, el.kappa, el.e
-    rv0 = float(tb0.xi @ tb0.dxi)
+    rv0 = _dot3(tb0.xi, tb0.dxi)
     rv_bar = math.copysign(math.sqrt(max(2.0 * rho_bar * (h * rho_bar + kappa) - el.c**2, 0.0)), rv0)
     t = (kepler._time_since_pericenter(rho_bar, rv_bar, h, kappa, e, q)
          - kepler._time_since_pericenter(r0, rv0, h, kappa, e, q))
@@ -272,6 +273,8 @@ def verify_deviation(
     are present when a side has w > 0.  ``ok`` holds when no
     check failed.
     """
+    if traj_bwd.dense is None:
+        raise ValueError("trajectory stored without dense output")
     mp = traj_fwd.mp
     eps = bs.epsilon(I_bar)
     horizon = bs.horizon(I_bar)
@@ -281,7 +284,7 @@ def verify_deviation(
     el0, tb0 = osculating_orbit(traj_fwd, traj_fwd.t0)
     sp = sandwich_params(bs, I_bar, el0.c, mp.M)
     rho0 = tb0.r
-    drho0 = float(tb0.xi @ tb0.dxi) / rho0
+    drho0 = _dot3(tb0.xi, tb0.dxi) / rho0
     slack = 1e-10 * max(rho0, 1.0)
 
     max_deviation, violations = 0.0, 0
@@ -304,15 +307,14 @@ def verify_deviation(
         if w <= 0.0:
             continue
 
-        ts = np.linspace(0.0, sgn * w, max(n_samples // 2, 8))
-        dev = np.abs(np.array([traj.state_at(t).rho for t in ts])
-                     - np.array([kepler.propagate(tb0, t).r for t in ts]))
-        max_deviation = max(max_deviation, float(dev.max()))
-        bad = ts[dev >= bound]
-        violations += int(bad.size)
+        ts = np.linspace(0.0, sgn * w, max(n_samples // 2, 8)).tolist()
+        dev = [abs(kepler._norm(traj.dense(t)[3:6]) - kepler.propagate(tb0, t).r) for t in ts]
+        max_deviation = max(max_deviation, *dev)
+        bad = [t for t, d in zip(ts, dev) if d >= bound]
+        violations += len(bad)
         # ts runs away from t = 0, so bad[0] is this side's violation of least |t|
-        if bad.size and (first_violation is None or abs(bad[0]) <= abs(first_violation)):
-            first_violation = float(bad[0])
+        if bad and (first_violation is None or abs(bad[0]) <= abs(first_violation)):
+            first_violation = bad[0]
 
         y = traj.y[np.abs(traj.t) <= w]
         c2 = np.sum(np.cross(y[:, 3:6], y[:, 9:12]) ** 2, axis=1)
@@ -326,16 +328,11 @@ def verify_deviation(
         t_valid_min = min(t_valid_min, t_valid)
         if t_valid <= 0.0:
             continue
-        ts = np.linspace(0.0, sgn * t_valid, 64)
-        rm = np.array([sw.rho_minus(t) for t in ts])
-        rp = np.array([sw.rho_plus(t) for t in ts])
-        rt = np.array([traj.state_at(t).rho for t in ts])
-        ro = np.array([kepler.propagate(tb0, t).r for t in ts])
-        if np.any(rm > rt + slack) or np.any(rt > rp + slack) \
-           or np.any(rm > ro + slack) or np.any(ro > rp + slack):
-            ordering_ok = False
-        if np.any(rp - rm > eta_bound(sp, ts) + slack):
-            eta_ok = False
+        for t in np.linspace(0.0, sgn * t_valid, 64).tolist():
+            rm, rp = sw.rho_minus(t), sw.rho_plus(t)
+            r_lo, r_hi = sorted((kepler._norm(traj.dense(t)[3:6]), kepler.propagate(tb0, t).r))
+            ordering_ok = ordering_ok and rm <= r_lo + slack and r_hi <= rp + slack
+            eta_ok = eta_ok and rp - rm <= eta_bound(sp, t) + slack
 
     osc_exit = _osc_exit_time(tb0, bs.rho_bar(I_bar), horizon)
     I_at_exit = None

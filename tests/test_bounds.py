@@ -12,7 +12,6 @@ import pytest
 
 from lunarbound import bounds as bd
 from lunarbound import cli
-from lunarbound import kepler as kp
 from lunarbound.core import JacobiState, MassParams, angular_momentum, energy_split, moment_of_inertia, perturbation
 from lunarbound.bounds import (
     ChainOverflowError,
@@ -30,7 +29,7 @@ from lunarbound.bounds import (
 )
 from lunarbound.harness import APPENDIX_H, APPENDIX_J, APPENDIX_MASSES, canonical_json
 
-from reference import marchal_phi, perturbation_gradients, strip
+from reference import marchal_phi, pericenter_distance_bound, perturbation_gradients, strip
 
 
 class TestEulerConfiguration:
@@ -635,7 +634,7 @@ class TestMarchalComparison:
         # pericenter cap c_J2^2/M < rho_M, hence I** < I_M
         bs = appendix_chain
         mp = bs.mp
-        peri_cap = kp.pericenter_distance_bound(bs.c_j2, mp.M)
+        peri_cap = pericenter_distance_bound(bs.c_j2, mp.M)
         assert peri_cap < bs.marchal.rho_M
         assert bs.i_star2 < bs.marchal.I_M
 

@@ -578,6 +578,41 @@ class TestCli:
         assert self.run_cli("--config", str(p), *flags, "verify-theorem") == 2
         assert path[-1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value", [
+        (("level",), -25.0), (("level",), 0.0), (("i_range",), [0, 4]), (("i_range",), [-2, 4]),
+        (("sampler", "outer", "i_lo_factor"), 0.0), (("sampler", "outer", "i_lo_factor"), -1.0),
+    ])
+    def test_nonpositive_level_or_window_exit_two(self, tmp_path, capsys, path, value):
+        # an inertia level or sampling window at or below 0 names its key,
+        # in one error line, before any chain or sampler runs
+        d = appendix_cfg(count=1, level=18.0).to_dict()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        assert self.run_cli("--config", str(p), "sample") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and path[-1] in err
+
+    def test_negative_level_flag_exit_two(self, capsys):
+        code = self.run_cli("--masses", "1", "2", "3", "--H", "-0.5", "--J", "0.1",
+                            "verify-theorem", "--level=-25", "--count", "1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: level must be positive, got -25.0\n"
+
+    def test_window_below_binary_named_in_sampling_error(self, tmp_path, capsys):
+        # a positive i_range that lies below the binary's own share of I
+        d = appendix_cfg(count=1, level=18.0).to_dict()
+        d["i_range"] = [0.001, 0.002]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        assert self.run_cli("--config", str(p), "sample") == 2
+        assert capsys.readouterr().err == (
+            "error: sampling failed after 64 retries: target inertia in [0.001, 0.002]"
+            " below the binary's own contribution\n")
+
     def test_unknown_command_exit_two(self):
         assert self.run_cli("frobnicate") == 2
 
@@ -718,7 +753,8 @@ BOUNDS_ARGV = ["--masses", "1", "2", "3", "--H", "-0.5", "--J", "0.1", "bounds"]
 
 
 class TestImportGraph:
-    """The bounds command loads the chain and the config module only."""
+    """The bounds command loads the chain and the config module only, and
+    kepler runs without numpy."""
 
     def run_python(self, code, *args):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -755,3 +791,16 @@ class TestImportGraph:
         )
         assert cli.main(BOUNDS_ARGV) == 0
         assert self.run_python(code, *BOUNDS_ARGV) == capsys.readouterr().out
+
+    def test_kepler_propagates_without_numpy(self):
+        # kepler runs on float tuples: with numpy blocked it imports and
+        # propagates to the same bits
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from lunarbound import kepler\n"
+            "s = kepler.TwoBodyState(xi=(1.0, 0.2, 0.0), dxi=(-0.1, 0.9, 0.3), kappa=1.0)\n"
+            "print(repr(kepler.propagate(s, 2.5)))\n"
+        )
+        s = kp.TwoBodyState(xi=(1.0, 0.2, 0.0), dxi=(-0.1, 0.9, 0.3), kappa=1.0)
+        assert self.run_python(code) == repr(kp.propagate(s, 2.5)) + "\n"

@@ -1,4 +1,5 @@
-"""Two-body machinery: elements, propagation, pericenter times, Lambert."""
+"""Two-body machinery: float kernels, elements, propagation, pericenter
+times, Lambert."""
 
 import math
 
@@ -8,9 +9,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from lunarbound import kepler as kp
+from lunarbound.bounds import _dot3
 
 from conftest import kepler_state, mp_kepler_clock
-from reference import period
+from reference import (
+    InfeasibleGeometryError,
+    collision_time_bound,
+    lambert_time_of_flight,
+    pericenter_distance_bound,
+    period,
+    radial_fall_time,
+    time_to_pericenter,
+)
 
 
 def elliptic_state(a, e, kappa, E, incl=0.0):
@@ -51,6 +61,28 @@ def short_way_arc(rng, a, e):
     raise AssertionError("no conforming arc drawn")
 
 
+class TestFloatKernels:
+    def test_kernels_match_numpy_bit_for_bit(self):
+        # seeded 3-vectors of size 1e-5 to 1e22, the range from desk orbits
+        # to outer orbits at I0: the tuple kernels give numpy's bits
+        rng = np.random.default_rng(20261022)
+        for _ in range(4000):
+            a, b = (rng.standard_normal(3) * 10.0 ** rng.uniform(-5.0, 22.0) for _ in range(2))
+            f, g = rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            ta, tb = tuple(a.tolist()), tuple(b.tolist())
+            assert kp._cross(ta, tb) == tuple(np.cross(a, b).tolist())
+            assert kp._norm(ta) == float(np.linalg.norm(a))
+            assert _dot3(ta, tb) == float(a @ b)
+            assert kp._fg(f, ta, g, tb) == tuple((f * a + g * b).tolist())
+
+    def test_state_from_numpy_rows_holds_float_tuples(self):
+        s = kp.TwoBodyState(xi=np.array([1.0, 2.0, 3.0]), dxi=np.arange(3), kappa=np.float64(2.0))
+        el = kp.elements_from_state(s)
+        for v in (s.xi, s.dxi, el.c_vec, el.e_vec, kp.propagate(s, 0.5).xi):
+            assert type(v) is tuple and len(v) == 3 and all(type(x) is float for x in v)
+        assert type(s.kappa) is float
+
+
 class TestElements:
     def test_circular(self):
         R, kappa = 2.5, 1.7
@@ -77,7 +109,7 @@ class TestElements:
         rng = np.random.default_rng(seed)
         el = kp.elements_from_state(random_bound_state(rng))
         assert el.e**2 - (1 + 2 * el.h * el.c**2 / el.kappa**2) == pytest.approx(0.0, abs=1e-12)
-        assert float(el.e_vec @ el.c_vec) == pytest.approx(0.0, abs=1e-10)
+        assert float(np.asarray(el.e_vec) @ np.asarray(el.c_vec)) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestPropagate:
@@ -91,15 +123,15 @@ class TestPropagate:
         s = kp.TwoBodyState(xi=[R, 0, 0], dxi=[0, math.sqrt(kappa / R), 0], kappa=kappa)
         T = 2 * math.pi * math.sqrt(R**3 / kappa)
         s2 = kp.propagate(s, T)
-        assert np.abs(s2.xi - s.xi).max() < 1e-10
-        assert np.abs(s2.dxi - s.dxi).max() < 1e-10
+        assert np.abs(np.asarray(s2.xi) - np.asarray(s.xi)).max() < 1e-10
+        assert np.abs(np.asarray(s2.dxi) - np.asarray(s.dxi)).max() < 1e-10
 
     def test_keplers_third_law(self, rng):
         for _ in range(10):
             s = random_bound_state(rng)
             el = kp.elements_from_state(s)
             s2 = kp.propagate(s, period(el))
-            assert np.abs(s2.xi - s.xi).max() < 1e-10 * max(1.0, s.r)
+            assert np.abs(np.asarray(s2.xi) - np.asarray(s.xi)).max() < 1e-10 * max(1.0, s.r)
 
     def test_conservation_long_span(self, rng):
         for _ in range(5):
@@ -109,7 +141,7 @@ class TestPropagate:
             s2 = kp.propagate(s, 1e4 * T * rng.uniform(0.9, 1.1))
             el2 = kp.elements_from_state(s2)
             assert el2.h == pytest.approx(el.h, rel=1e-12)
-            assert np.abs(el2.c_vec - el.c_vec).max() <= 1e-12 * max(el.c, 1.0)
+            assert np.abs(np.asarray(el2.c_vec) - np.asarray(el.c_vec)).max() <= 1e-12 * max(el.c, 1.0)
 
     def test_against_ode_integration(self, rng):
         s = random_bound_state(rng)
@@ -135,7 +167,7 @@ class TestPropagate:
         el2 = kp.elements_from_state(s2)
         assert el2.h == pytest.approx(el.h, rel=1e-12)
         back = kp.propagate(s2, -1e5)
-        assert np.abs(back.xi - s.xi).max() < 1e-7
+        assert np.abs(np.asarray(back.xi) - np.asarray(s.xi)).max() < 1e-7
 
     @pytest.mark.parametrize(
         "xi, dxi, dt",
@@ -158,13 +190,13 @@ class TestPropagate:
         assert kp._is_radial(s)
         h0 = 0.5 * s.speed**2 - s.kappa / s.r
         assert h0 > 0.0
-        tp = kp.time_to_pericenter(s)
+        tp = time_to_pericenter(s)
         assert tp.direction * dt > 0 and abs(dt) < tp.time
         s2 = kp.propagate(s, dt)
         h2 = 0.5 * s2.speed**2 - s2.kappa / s2.r
         assert h2 == pytest.approx(h0, rel=1e-12)
         assert s2.r < s.r
-        tp2 = kp.time_to_pericenter(s2)
+        tp2 = time_to_pericenter(s2)
         assert tp2.direction == tp.direction
         assert tp2.time == pytest.approx(tp.time - abs(dt), rel=1e-12)
 
@@ -211,7 +243,7 @@ class TestPropagate:
         s0 = kp.TwoBodyState(xi=[1, 0, 0], dxi=[0, 0, 0], kappa=1.0)
         t_col = math.pi / math.sqrt(8.0)
         s1 = kp.propagate(s0, 0.5 * t_col)  # inbound at smaller radius
-        s1_out = kp.TwoBodyState(xi=s1.xi, dxi=-s1.dxi, kappa=1.0)
+        s1_out = kp.TwoBodyState(xi=s1.xi, dxi=-np.asarray(s1.dxi), kappa=1.0)
         with pytest.raises(kp.CollisionAtTimeError):
             kp.propagate(s1_out, -0.6 * t_col)
 
@@ -219,18 +251,18 @@ class TestPropagate:
 class TestTimeToPericenter:
     def test_at_pericenter(self):
         s = elliptic_state(2.0, 0.5, 1.0, 0.0)
-        t, _ = kp.time_to_pericenter(s)
+        t, _ = time_to_pericenter(s)
         assert abs(t) < 1e-12
 
     def test_circular_convention(self):
         R, kappa = 2.0, 1.0
         s = kp.TwoBodyState(xi=[R, 0, 0], dxi=[0, math.sqrt(kappa / R), 0], kappa=kappa)
-        assert kp.time_to_pericenter(s) == (0.0, +1)
+        assert time_to_pericenter(s) == (0.0, +1)
 
     def test_radial_fall_from_rest(self):
         rho0, kappa = 1.0, 1.0
         s = kp.TwoBodyState(xi=[rho0, 0, 0], dxi=[0, 0, 0], kappa=kappa)
-        t, _ = kp.time_to_pericenter(s)
+        t, _ = time_to_pericenter(s)
         # half-period of the degenerate ellipse a = rho0/2
         assert t == pytest.approx(math.pi * math.sqrt(rho0**3 / (8 * kappa)), rel=1e-13)
 
@@ -240,15 +272,15 @@ class TestTimeToPericenter:
             el = kp.elements_from_state(s)
             if el.e < 1e-6:
                 continue
-            t, sig = kp.time_to_pericenter(s)
+            t, sig = time_to_pericenter(s)
             sp = kp.propagate(s, sig * t)
             assert sp.r == pytest.approx(el.q_peri, rel=1e-10, abs=1e-12)
 
     def test_hyperbolic_outbound_backward(self):
         s = kp.TwoBodyState(xi=[2.0, 0, 0], dxi=[1.0, 0.8, 0], kappa=1.0)
         el = kp.elements_from_state(s)
-        assert el.h > 0 and float(s.xi @ s.dxi) > 0
-        t, sig = kp.time_to_pericenter(s)
+        assert el.h > 0 and float(np.asarray(s.xi) @ np.asarray(s.dxi)) > 0
+        t, sig = time_to_pericenter(s)
         assert sig == -1 and t > 0
         sp = kp.propagate(s, -t)
         assert sp.r == pytest.approx(el.q_peri, rel=1e-10)
@@ -257,7 +289,7 @@ class TestTimeToPericenter:
         for _ in range(25):
             s = random_bound_state(rng)
             el = kp.elements_from_state(s)
-            t, _ = kp.time_to_pericenter(s)
+            t, _ = time_to_pericenter(s)
             assert t <= 0.5 * period(el) * (1 + 1e-12)
 
     @pytest.mark.parametrize("vx, direction", [(-1.0, +1), (1.0, -1)])
@@ -267,7 +299,7 @@ class TestTimeToPericenter:
         s = kp.TwoBodyState(xi=[1.0, 0, 0], dxi=[vx, 1.0, 0], kappa=1.0)
         el = kp.elements_from_state(s)
         assert el.h == 0.0 and el.q_peri == pytest.approx(0.5, rel=1e-15)
-        t, sig = kp.time_to_pericenter(s)
+        t, sig = time_to_pericenter(s)
         assert sig == direction
         assert t == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert kp.propagate(s, sig * t).r == pytest.approx(el.q_peri, rel=1e-9)
@@ -276,9 +308,9 @@ class TestTimeToPericenter:
         # h = 1/2 - 2/4 = 0 exactly on a radial infall: the fall from r = 4
         r, kappa = 4.0, 2.0
         s = kp.TwoBodyState(xi=[0, 0, r], dxi=[0, 0, -1.0], kappa=kappa)
-        t, sig = kp.time_to_pericenter(s)
+        t, sig = time_to_pericenter(s)
         assert sig == +1
-        assert t == kp.radial_fall_time(r, 0.0, kappa)
+        assert t == radial_fall_time(r, 0.0, kappa)
 
 
 class TestKeplerClock:
@@ -291,7 +323,7 @@ class TestKeplerClock:
         # h = 1.1e-15, +1e-12 and -1e-12 next to the Barker state above
         s = kp.TwoBodyState(xi=[1.0, 0, 0], dxi=[-1.0, vy, 0], kappa=1.0)
         el = kp.elements_from_state(s)
-        t, sig = kp.time_to_pericenter(s)
+        t, sig = time_to_pericenter(s)
         assert sig == +1
         assert t == pytest.approx(2.0 / 3.0, rel=1e-11)
         assert t == pytest.approx(-float(mp_kepler_clock(s)), rel=1e-14)
@@ -304,9 +336,9 @@ class TestKeplerClock:
         assert not kp._is_radial(s)
         el = kp.elements_from_state(s)
         assert el.h < 0.0
-        t, sig = kp.time_to_pericenter(s)
+        t, sig = time_to_pericenter(s)
         assert sig == +1
-        assert t == pytest.approx(kp.radial_fall_time(0.15, el.h, 1.0), rel=1e-13)
+        assert t == pytest.approx(radial_fall_time(0.15, el.h, 1.0), rel=1e-13)
         assert t == pytest.approx(-float(mp_kepler_clock(s)), rel=1e-13)
 
     def test_against_60_digit_clock(self):
@@ -318,7 +350,7 @@ class TestKeplerClock:
             s = kepler_state(rng, kind)
             if kp._is_radial(s):
                 continue
-            t, sig = kp.time_to_pericenter(s)
+            t, sig = time_to_pericenter(s)
             assert -sig * t == pytest.approx(float(mp_kepler_clock(s)), rel=1e-12)
             checked += 1
         assert checked >= 450
@@ -326,13 +358,13 @@ class TestKeplerClock:
 
 class TestCollisionTimeBound:
     def test_formula(self):
-        assert kp.collision_time_bound(1.0, 1.0) == pytest.approx(math.pi / math.sqrt(8.0))
+        assert collision_time_bound(1.0, 1.0) == pytest.approx(math.pi / math.sqrt(8.0))
 
     def test_equality_at_rest(self):
         rho0, kappa = 2.7, 1.3
         s = kp.TwoBodyState(xi=[0, rho0, 0], dxi=[0, 0, 0], kappa=kappa)
-        t, _ = kp.time_to_pericenter(s)
-        assert t == pytest.approx(kp.collision_time_bound(rho0, kappa), rel=1e-10)
+        t, _ = time_to_pericenter(s)
+        assert t == pytest.approx(collision_time_bound(rho0, kappa), rel=1e-10)
 
     def test_dominates_inbound_radial_states(self, rng):
         kappa = 1.0
@@ -343,18 +375,18 @@ class TestCollisionTimeBound:
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             s = kp.TwoBodyState(xi=rho0 * direction, dxi=v * direction, kappa=kappa)
-            t, sig = kp.time_to_pericenter(s)
+            t, sig = time_to_pericenter(s)
             assert sig == +1
-            assert t <= kp.collision_time_bound(rho0, kappa) * (1 + 1e-12)
+            assert t <= collision_time_bound(rho0, kappa) * (1 + 1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            kp.collision_time_bound(-1.0, 1.0)
+            collision_time_bound(-1.0, 1.0)
 
 
 class TestLambert:
     def test_coincident_points(self):
-        assert kp.lambert_time_of_flight(2.0, 2.0, 0.0, -0.1, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert lambert_time_of_flight(2.0, 2.0, 0.0, -0.1, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_rectilinear_equals_fall_difference(self, rng):
         for _ in range(20):
@@ -365,8 +397,8 @@ class TestLambert:
             d = r1 + r2  # chord through the focus
             if h < 0 and d > -kappa / h:  # beyond the energy's reach
                 continue
-            t = kp.lambert_time_of_flight(r1, r2, d, h, kappa)
-            expect = kp.radial_fall_time(d, h, kappa)
+            t = lambert_time_of_flight(r1, r2, d, h, kappa)
+            expect = radial_fall_time(d, h, kappa)
             assert t == pytest.approx(expect, rel=1e-12)
 
     def test_propagation_oracle(self, rng):
@@ -378,9 +410,9 @@ class TestLambert:
             sA = elliptic_state(a, e, kappa, E1)
             dt = math.sqrt(a**3 / kappa) * ((E2 - e * math.sin(E2)) - (E1 - e * math.sin(E1)))
             sB = kp.propagate(sA, dt)
-            d = float(np.linalg.norm(sB.xi - sA.xi))
+            d = float(np.linalg.norm(np.asarray(sB.xi) - np.asarray(sA.xi)))
             h = 0.5 * sA.speed**2 - kappa / sA.r
-            t = kp.lambert_time_of_flight(sA.r, sB.r, d, h, kappa)
+            t = lambert_time_of_flight(sA.r, sB.r, d, h, kappa)
             assert t == pytest.approx(dt, rel=1e-10, abs=1e-10)
 
     def test_invariance_across_orbits(self, rng):
@@ -393,35 +425,35 @@ class TestLambert:
             sA = elliptic_state(a, e, kappa, E1)
             dt = math.sqrt(a**3 / kappa) * ((E2 - e * math.sin(E2)) - (E1 - e * math.sin(E1)))
             sB = kp.propagate(sA, dt)
-            d = float(np.linalg.norm(sB.xi - sA.xi))
+            d = float(np.linalg.norm(np.asarray(sB.xi) - np.asarray(sA.xi)))
             rsum = sA.r + sB.r
             h = 0.5 * sA.speed**2 - kappa / sA.r
             # a different split of the same radius sum
             shift = rng.uniform(-0.2, 0.2) * min(sA.r, sB.r)
-            t1 = kp.lambert_time_of_flight(sA.r, sB.r, d, h, kappa)
-            t2 = kp.lambert_time_of_flight(sA.r - shift, sB.r + shift, d, h, kappa)
+            t1 = lambert_time_of_flight(sA.r, sB.r, d, h, kappa)
+            t2 = lambert_time_of_flight(sA.r - shift, sB.r + shift, d, h, kappa)
             assert t1 == pytest.approx(t2, rel=1e-12)
             assert t1 == pytest.approx(dt, rel=1e-9, abs=1e-10)
 
     def test_infeasible_geometry(self):
-        with pytest.raises(kp.InfeasibleGeometryError):
-            kp.lambert_time_of_flight(1.0, 1.0, 3.0, -0.1, 1.0)
-        with pytest.raises(kp.InfeasibleGeometryError):
-            kp.lambert_time_of_flight(1.0, 3.0, 0.5, -0.1, 1.0)
+        with pytest.raises(InfeasibleGeometryError):
+            lambert_time_of_flight(1.0, 1.0, 3.0, -0.1, 1.0)
+        with pytest.raises(InfeasibleGeometryError):
+            lambert_time_of_flight(1.0, 3.0, 0.5, -0.1, 1.0)
         # energy too low for the geometry: max radius 2a < s
-        with pytest.raises(kp.InfeasibleGeometryError):
-            kp.lambert_time_of_flight(4.0, 4.0, 2.0, -1.0, 1.0)
+        with pytest.raises(InfeasibleGeometryError):
+            lambert_time_of_flight(4.0, 4.0, 2.0, -1.0, 1.0)
 
 
 class TestPericenterDistanceBound:
     def test_values(self):
-        assert kp.pericenter_distance_bound(0.0, 1.0) == 0.0
-        assert kp.pericenter_distance_bound(2.0, 4.0) == pytest.approx(1.0)
+        assert pericenter_distance_bound(0.0, 1.0) == 0.0
+        assert pericenter_distance_bound(2.0, 4.0) == pytest.approx(1.0)
 
     def test_property_sweep(self, rng):
         kappa = 1.0
         c_j2 = 1.5
-        bound = kp.pericenter_distance_bound(c_j2, kappa)
+        bound = pericenter_distance_bound(c_j2, kappa)
         for _ in range(1000):
             a = rng.uniform(0.2, 5.0)
             e = rng.uniform(0.0, 0.99)

@@ -65,8 +65,8 @@ class TestOsculatingOrbit:
         for t in np.linspace(0.0, 40.0, 9):
             el, _ = osculating_orbit(traj, t)
             assert el.h == pytest.approx(el0.h, abs=1e-9)
-            assert np.abs(el.c_vec - el0.c_vec).max() < 1e-9
-            assert np.abs(el.e_vec - el0.e_vec).max() < 1e-9
+            assert np.abs(np.asarray(el.c_vec) - np.asarray(el0.c_vec)).max() < 1e-9
+            assert np.abs(np.asarray(el.e_vec) - np.asarray(el0.e_vec)).max() < 1e-9
 
     def test_energy_matches_split(self, sample_trajectories):
         mp, bs, I_bar, state, fwd, _ = sample_trajectories
@@ -262,6 +262,14 @@ class TestVerifyDeviation:
         assert rep["violations"] == 0 and rep["max_deviation"] == 0.0
         assert rep["true_exit_t"] == 0.0
 
+    def test_trajectory_without_dense_output_named(self, appendix_chain):
+        bs = appendix_chain
+        fwd, bwd = kepler_pair(bs.mp, [10.0, 0, 0], [-0.08, 0.22, 0.0], 5.0)
+        for pair in ((dataclasses.replace(fwd, dense=None), bwd),
+                     (fwd, dataclasses.replace(bwd, dense=None))):
+            with pytest.raises(ValueError, match="without dense output"):
+                verify_deviation(*pair, bs, bs.R_bar, n_samples=16)
+
     def test_report_keys(self, appendix_chain):
         bs = appendix_chain
         pair = kepler_pair(bs.mp, [10.0, 0, 0], [-0.08, 0.22, 0.0], 30.0)
@@ -383,7 +391,7 @@ class TestOscExitTime:
                 continue
             seen["time"] += 1
             # toward pericenter: forward when inbound, backward when outbound
-            assert t * float(s.xi @ s.dxi) < 0.0
+            assert t * float(np.asarray(s.xi) @ np.asarray(s.dxi)) < 0.0
             assert _osc_exit_time(s, rho_bar, abs(t)) == t
             assert _osc_exit_time(s, rho_bar, 0.5 * abs(t)) is None
             m0, m_bar = mp_kepler_clock(s), mp_kepler_clock(s, rho_bar)
